@@ -50,6 +50,7 @@ from .logical import (
     logical_channel,
     numeric_cell_integral,
     suggest_dps,
+    window_coefficients,
 )
 from .metrics import (
     OrthoMatrix,

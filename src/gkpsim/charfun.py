@@ -12,7 +12,7 @@ square; no numerical integration is involved.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,17 +83,6 @@ class GaussianKernel:
         if self.kind in (DIAG_DELTA, OPERATOR):
             return self.amp * np.exp(u @ self.q_matrix @ u + self.linear @ u)
         return self.amp
-
-    def conjugate_pair(self) -> "GaussianKernel":
-        """Kernel of the Hermitian-conjugate integrand, c(v, u)^*."""
-        if self.kind != FULL:
-            return GaussianKernel(self.n_modes, np.conj(self.amp), np.conj(self.q_matrix),
-                                  np.conj(self.linear), self.kind, self.channel_tn)
-        n2 = 2 * self.n_modes
-        perm = np.concatenate([np.arange(n2, 2 * n2), np.arange(n2)])
-        q = np.conj(self.q_matrix)[np.ix_(perm, perm)]
-        lin = np.conj(self.linear)[perm]
-        return GaussianKernel(self.n_modes, np.conj(self.amp), q, lin, FULL)
 
 
 @dataclass
@@ -309,6 +298,19 @@ def dephased_envelope_charfun(sigma: float, delta: float, nodes: int = 64) -> Ch
 # composition
 
 
+def _integrate_out(base: GaussianKernel, amp, a, b_mat, b0, kind) -> GaussianKernel:
+    """amp * base(w) * int dx exp(x^T a x + x^T (b_mat w + b0)), in closed form.
+
+    The integral is pi^{k/2} / sqrt(det(-a)) exp(-(b_mat w + b0)^T a^{-1} (b_mat w + b0) / 4)
+    for k = dim x; its exponent is folded into base's quadratic form in w.
+    """
+    a_inv = np.linalg.inv(a)
+    q = base.q_matrix - 0.25 * b_mat.T @ a_inv @ b_mat
+    lin = base.linear - 0.5 * b_mat.T @ a_inv @ b0
+    amp = amp * np.pi ** (a.shape[0] / 2) / sqrt_det_rhp(-a) * np.exp(-0.25 * b0 @ a_inv @ b0)
+    return GaussianKernel(base.n_modes, amp, (q + q.T) / 2, lin, kind)
+
+
 def _compose_kernels(outer: GaussianKernel, inner: GaussianKernel) -> GaussianKernel:
     """Closed-form Gaussian convolution
     c(u,v) = int du~ dv~ e^{i pi (u^T Om u~ - v^T Om v~)} c_in(u-u~, v-v~) c_out(u~, v~).
@@ -317,6 +319,8 @@ def _compose_kernels(outer: GaussianKernel, inner: GaussianKernel) -> GaussianKe
     n2 = 2 * n
     om = omega(n)
     z = np.zeros((n2, n2))
+    j = np.vstack([np.eye(n2), np.eye(n2)])  # w = (u, u) on a delta support
+    duv = np.hstack([np.eye(n2), -np.eye(n2)])
 
     if outer.kind == POINT:
         return GaussianKernel(n, outer.amp * inner.amp, inner.q_matrix, inner.linear, inner.kind,
@@ -328,57 +332,27 @@ def _compose_kernels(outer: GaussianKernel, inner: GaussianKernel) -> GaussianKe
 
     if outer.kind == FULL and inner.kind == FULL:
         p = 1j * np.pi * np.block([[om, z], [z, -om]])  # phase = w^T P x, x = (u~, v~)
-        a = inner.q_matrix + outer.q_matrix
-        b_mat = p.T - 2 * inner.q_matrix
-        b0 = outer.linear - inner.linear
-        a_inv = np.linalg.inv(a)
-        q = inner.q_matrix - 0.25 * b_mat.T @ a_inv @ b_mat
-        lin = inner.linear - 0.5 * b_mat.T @ a_inv @ b0
-        amp = (inner.amp * outer.amp * np.pi ** n2 / sqrt_det_rhp(-a)
-               * np.exp(-0.25 * b0 @ a_inv @ b0))
-        return GaussianKernel(n, amp, (q + q.T) / 2, lin, FULL)
+        return _integrate_out(inner, inner.amp * outer.amp, inner.q_matrix + outer.q_matrix,
+                              p.T - 2 * inner.q_matrix, outer.linear - inner.linear, FULL)
 
     if outer.kind == DIAG_DELTA and inner.kind == FULL:
         # integrate over u~ only, v~ = u~ + (v - u) on the delta support => w_in = w0 - J u~
-        j = np.vstack([np.eye(n2), np.eye(n2)])
-        duv = np.hstack([np.eye(n2), -np.eye(n2)])
-        a = outer.q_matrix + j.T @ inner.q_matrix @ j
-        b_mat = -2 * j.T @ inner.q_matrix + 1j * np.pi * om.T @ duv
-        b0 = outer.linear - j.T @ inner.linear
-        a_inv = np.linalg.inv(a)
-        q = inner.q_matrix - 0.25 * b_mat.T @ a_inv @ b_mat
-        lin = inner.linear - 0.5 * b_mat.T @ a_inv @ b0
-        amp = (inner.amp * outer.amp * np.pi ** n / sqrt_det_rhp(-a)
-               * np.exp(-0.25 * b0 @ a_inv @ b0))
-        return GaussianKernel(n, amp, (q + q.T) / 2, lin, FULL)
+        return _integrate_out(inner, inner.amp * outer.amp, outer.q_matrix + j.T @ inner.q_matrix @ j,
+                              -2 * j.T @ inner.q_matrix + 1j * np.pi * om.T @ duv,
+                              outer.linear - j.T @ inner.linear, FULL)
 
     if outer.kind == FULL and inner.kind == DIAG_DELTA:
         # inner delta sets u - u~ = v - v~ = y; integrate over y:
         # c(u,v) = int dy f_in(y) e^{i pi (u^T Om (u-y) - v^T Om (v-y))} c_out(u-y, v-y)
-        j = np.vstack([np.eye(n2), np.eye(n2)])
-        duv = np.hstack([np.eye(n2), -np.eye(n2)])
-        a = inner.q_matrix + j.T @ outer.q_matrix @ j
         # expansion in y around w0=(u,v): c_out at (w0 - J y); phase -i pi (u-v)^T Om y
-        b_mat = -2 * j.T @ outer.q_matrix - 1j * np.pi * om.T @ duv
-        b0 = inner.linear - j.T @ outer.linear
-        a_inv = np.linalg.inv(a)
-        q = outer.q_matrix - 0.25 * b_mat.T @ a_inv @ b_mat
-        lin = outer.linear - 0.5 * b_mat.T @ a_inv @ b0
-        amp = (inner.amp * outer.amp * np.pi ** n / sqrt_det_rhp(-a)
-               * np.exp(-0.25 * b0 @ a_inv @ b0))
-        return GaussianKernel(n, amp, (q + q.T) / 2, lin, FULL)
+        return _integrate_out(outer, inner.amp * outer.amp, inner.q_matrix + j.T @ outer.q_matrix @ j,
+                              -2 * j.T @ outer.q_matrix - 1j * np.pi * om.T @ duv,
+                              inner.linear - j.T @ outer.linear, FULL)
 
     if outer.kind == DIAG_DELTA and inner.kind == DIAG_DELTA:
         # classical convolution of the two densities
-        a = inner.q_matrix + outer.q_matrix
-        b_mat = -2 * inner.q_matrix
-        b0 = outer.linear - inner.linear
-        a_inv = np.linalg.inv(a)
-        q = inner.q_matrix - 0.25 * b_mat.T @ a_inv @ b_mat
-        lin = inner.linear - 0.5 * b_mat.T @ a_inv @ b0
-        amp = (inner.amp * outer.amp * np.pi ** n / sqrt_det_rhp(-a)
-               * np.exp(-0.25 * b0 @ a_inv @ b0))
-        return GaussianKernel(n, amp, (q + q.T) / 2, lin, DIAG_DELTA)
+        return _integrate_out(inner, inner.amp * outer.amp, inner.q_matrix + outer.q_matrix,
+                              -2 * inner.q_matrix, outer.linear - inner.linear, DIAG_DELTA)
 
     raise ValueError(f"unsupported kernel kinds {outer.kind} o {inner.kind}")
 

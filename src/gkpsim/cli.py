@@ -24,8 +24,6 @@ from .charfun import (
     random_displacement_charfun,
 )
 from .lattice import (
-    BoxCell,
-    VoronoiCell,
     code_from_config,
     is_cell_invariant,
     repetition_symmetric_cell,
@@ -57,7 +55,7 @@ def _fmt(x) -> str:
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, mp.mpf):
+    if hasattr(x, "_mpf_"):  # an mpmath real from any context
         return mp.nstr(x, 17, strip_zeros=False)
     return f"{float(x):.17g}"
 
@@ -83,39 +81,34 @@ def _build_charfun(noise: str, delta: float, param: float, nodes: int):
     raise ValueError(f"unknown noise family {noise!r}")
 
 
+def _float_analysis(cf, code, cell, s_max: int) -> dict:
+    """The double-precision counterpart of highprec_channel_analysis."""
+    _, och = lowdin_orthonormalize(logical_channel(code, cell, cf, TruncationSpec(s_max)))
+    tp, choi = cptp_diagnostics(och)
+    return {"infidelity": 1 - average_gate_fidelity(och, warn=False), "tp_defect": tp,
+            "min_choi_eig": choi}
+
+
 def sweep_point(noise: str, delta_db: float, param: float, s_max: int, nodes: int,
                 code=None, cell=None):
     """One sweep row: orthonormalized logical-channel metrics plus the
-    truncation residual at s_max + 1."""
+    truncation residual at s_max + 1, in mpmath above HIGHPREC_DB_THRESHOLD."""
     code = square_code() if code is None else code
     cell = voronoi_box(code) if cell is None else cell
     delta = _delta_from_db(delta_db)
     cf = _build_charfun(noise, delta, param, nodes)
     if delta_db > HIGHPREC_DB_THRESHOLD:
         dps = suggest_dps(delta)
-        res = highprec_channel_analysis(cf, code, cell, TruncationSpec(s_max), dps=dps)
-        res2 = highprec_channel_analysis(cf, code, cell, TruncationSpec(s_max + 1), dps=dps)
-        infid = res["infidelity"]
-        infid2 = res2["infidelity"]
-        residual = abs(infid - infid2) / infid2 if infid2 != 0 else mp.mpf(0)
-        return {
-            "delta_db": delta_db, "nbar_est": _nbar_est(delta), "noise_param": param,
-            "avg_gate_infidelity": infid, "tp_defect": res["tp_defect"],
-            "min_choi_eig": res["min_choi_eig"], "smax_residual": residual,
-            "is_baseline": False,
-        }
-    ch = logical_channel(code, cell, cf, TruncationSpec(s_max))
-    _, och = lowdin_orthonormalize(ch)
-    fid = average_gate_fidelity(och, warn=False)
-    tp, choi = cptp_diagnostics(och)
-    ch2 = logical_channel(code, cell, cf, TruncationSpec(s_max + 1))
-    _, och2 = lowdin_orthonormalize(ch2)
-    fid2 = average_gate_fidelity(och2, warn=False)
-    residual = abs(fid2 - fid) / (1 - fid2) if fid2 < 1 else 0.0
+        res, res2 = (highprec_channel_analysis(cf, code, cell, TruncationSpec(s), dps=dps)
+                     for s in (s_max, s_max + 1))
+    else:
+        res, res2 = (_float_analysis(cf, code, cell, s) for s in (s_max, s_max + 1))
+    infid, infid2 = res["infidelity"], res2["infidelity"]
+    residual = abs(infid - infid2) / infid2 if infid2 > 0 else 0.0
     return {
         "delta_db": delta_db, "nbar_est": _nbar_est(delta), "noise_param": param,
-        "avg_gate_infidelity": 1 - fid, "tp_defect": tp, "min_choi_eig": choi,
-        "smax_residual": residual, "is_baseline": False,
+        "avg_gate_infidelity": infid, "tp_defect": res["tp_defect"],
+        "min_choi_eig": res["min_choi_eig"], "smax_residual": residual, "is_baseline": False,
     }
 
 

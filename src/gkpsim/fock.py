@@ -41,6 +41,14 @@ def hermite_functions_upto(n_max: int, x):
     return out
 
 
+def _damped_combs(delta: float, cutoff: int, comb_window: int) -> np.ndarray:
+    """Rows mu = 0, 1: e^{-Delta^2 n} * sum_s psi_n(sqrt(pi) (2 s + mu)) for n < cutoff."""
+    s = np.arange(-comb_window, comb_window + 1)
+    combs = [hermite_functions_upto(cutoff - 1, np.sqrt(np.pi) * (2 * s + mu)).sum(axis=1)
+             for mu in (0, 1)]
+    return np.exp(-delta ** 2 * np.arange(cutoff)) * np.array(combs)
+
+
 def build_approx_codeword(mu: int, delta: float, cutoff: int, comb_window: int = 30,
                           tail_tol: float = 1e-12) -> np.ndarray:
     """Normalized Fock amplitudes of the approximate codeword e^{-Delta^2 n} |mu_bar>.
@@ -50,10 +58,7 @@ def build_approx_codeword(mu: int, delta: float, cutoff: int, comb_window: int =
     """
     if mu not in (0, 1):
         raise ValueError("square qubit codewords have mu in {0, 1}")
-    ns = np.arange(cutoff)
-    peaks = np.sqrt(np.pi) * (2 * np.arange(-comb_window, comb_window + 1) + mu)
-    comb = hermite_functions_upto(cutoff - 1, peaks).sum(axis=1)
-    amps = np.exp(-delta ** 2 * ns) * comb
+    amps = _damped_combs(delta, cutoff, comb_window)[mu]
     norm = np.linalg.norm(amps)
     tail_mass = np.sum(np.abs(amps[-max(2, cutoff // 25):]) ** 2) / norm ** 2
     if tail_mass > tail_tol:
@@ -67,17 +72,8 @@ def codeword_gram(delta: float, cutoff: int, comb_window: int = 30) -> np.ndarra
     Overall scale is arbitrary (ideal combs are non-normalizable); ratios are
     what the orthonormalization consumes.
     """
-    ns = np.arange(cutoff)
-    g = np.zeros((2, 2), dtype=complex)
-    vecs = []
-    for mu in (0, 1):
-        peaks = np.sqrt(np.pi) * (2 * np.arange(-comb_window, comb_window + 1) + mu)
-        comb = hermite_functions_upto(cutoff - 1, peaks).sum(axis=1)
-        vecs.append(np.exp(-delta ** 2 * ns) * comb)
-    for a in (0, 1):
-        for b in (0, 1):
-            g[a, b] = vecs[a] @ vecs[b]
-    return g
+    vecs = _damped_combs(delta, cutoff, comb_window)
+    return (vecs @ vecs.T).astype(complex)
 
 
 def apply_loss(rho: np.ndarray, gamma: float, j_max: int = 40, tol: float = 1e-12) -> np.ndarray:
@@ -204,15 +200,6 @@ def ideal_decode(rho: np.ndarray, code: GkpCode, grid: int = 64, comb_window: in
 
 def orthonormalized_codewords(delta: float, cutoff: int, comb_window: int = 30):
     """Fock representations of the Loewdin-orthonormalized codeword pair."""
-    w0 = None
-    ns = np.arange(cutoff)
-    vecs = []
-    for mu in (0, 1):
-        peaks = np.sqrt(np.pi) * (2 * np.arange(-comb_window, comb_window + 1) + mu)
-        comb = hermite_functions_upto(cutoff - 1, peaks).sum(axis=1)
-        vecs.append(np.exp(-delta ** 2 * ns) * comb)
-    g = np.array([[vecs[a] @ vecs[b] for b in (0, 1)] for a in (0, 1)], dtype=complex)
-    ortho = ortho_matrix_from_gram(g)
-    c = ortho.c_matrix
-    out = [c[mu, 0] * vecs[0] + c[mu, 1] * vecs[1] for mu in (0, 1)]
-    return np.array(out), ortho
+    vecs = _damped_combs(delta, cutoff, comb_window)
+    ortho = ortho_matrix_from_gram((vecs @ vecs.T).astype(complex))
+    return ortho.c_matrix @ vecs, ortho

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .symplectic import (
     INTEGRALITY_TOL,
     assert_symplectic,
-    check_symplectic,
     is_integral,
     omega,
 )
@@ -205,11 +204,6 @@ class BoxCell(PrimitiveCell):
     def volume(self) -> float:
         return float(np.prod([hi - lo for lo, hi in self.intervals]))
 
-    def bounding_box(self):
-        lo = np.array([lo for lo, _ in self.intervals])
-        hi = np.array([hi for _, hi in self.intervals])
-        return lo, hi
-
     def axis_shift_vectors(self) -> np.ndarray:
         """Dual vectors associated with crossing each +face (rows)."""
         return np.diag([hi - lo for lo, hi in self.intervals])
@@ -319,7 +313,6 @@ def _clip_halfplanes(rels: np.ndarray) -> np.ndarray:
             if pin != qin:
                 t = (b - p @ r) / ((q - p) @ r)
                 out.append(p + t * (q - p))
-            poly_next = out
         poly = out
         if not poly:
             break

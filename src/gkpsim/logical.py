@@ -1,11 +1,15 @@
 """Logical noise channels: cell integrals of channel kernels and the resulting
-qudit superoperator in the Pauli-pair representation
-N(rho) = sum_{s,t} c_{s,t} P(s) rho P(t)^dag.
+qudit channel N(rho) = sum_{a,b} chi[a, b] P(a) rho P(b)^dag.
 
-Box cells are integrated analytically (per-coordinate complex Gaussians via
-the complex error function); other bounded cells go through tensor/triangle
-quadrature.  A high-precision mpmath backend covers the deeply squeezed
-regime where coefficients underflow double precision.
+window_coefficients integrates the raw coefficients c_{s,t} of
+N(rho) = sum_{s,t} c_{s,t} P(s) rho P(t)^dag over a truncated dual-lattice
+window: box cells analytically (per-coordinate complex Gaussians via the
+complex error function), other bounded cells by tensor/triangle quadrature.
+P(s + d k) is a sign times P(s), so the window folds exactly into the
+d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).  An mpmath
+backend with its own private precision covers the deeply squeezed regime
+where coefficients underflow double precision; chi is then an object array
+of mpmath numbers and the same metrics apply.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import mpmath as mp
 import numpy as np
 import scipy.special
 
-from .charfun import DIAG_DELTA, FULL, OPERATOR, POINT, ChannelCharFn, GaussianKernel
+from .charfun import DIAG_DELTA, FULL, POINT, ChannelCharFn, GaussianKernel
 from .lattice import BoxCell, GkpCode, PrimitiveCell, VoronoiCell
 from .symplectic import omega
 
@@ -53,12 +57,12 @@ def _erf_diff_np(z1, z2):
     return complex_erf(z2) - complex_erf(z1)
 
 
-def _erf_diff_mp(z1, z2):
-    if mp.re(z1) > 4 and mp.re(z2) > 4:
-        return mp.erfc(z1) - mp.erfc(z2)
-    if mp.re(z1) < -4 and mp.re(z2) < -4:
-        return mp.erfc(-z2) - mp.erfc(-z1)
-    return mp.erf(z2) - mp.erf(z1)
+def _erf_diff_mp(ctx, z1, z2):
+    if ctx.re(z1) > 4 and ctx.re(z2) > 4:
+        return ctx.erfc(z1) - ctx.erfc(z2)
+    if ctx.re(z1) < -4 and ctx.re(z2) < -4:
+        return ctx.erfc(-z2) - ctx.erfc(-z1)
+    return ctx.erf(z2) - ctx.erf(z1)
 
 
 class _NumpyBackend:
@@ -75,23 +79,22 @@ class _NumpyBackend:
 
 
 class _MpmathBackend:
+    """mpmath scalars at dps digits in a private context; the global mp.mp is never touched."""
+
     name = "mpmath"
 
     def __init__(self, dps: int = 60):
         self.dps = dps
+        self.ctx = mp.MPContext()
+        self.ctx.dps = dps
+        self.pi, self.exp, self.sqrt = self.ctx.pi, self.ctx.exp, self.ctx.sqrt
 
-    @property
-    def pi(self):
-        return mp.pi
-
-    @staticmethod
-    def to_scalar(x):
+    def to_scalar(self, x):
         x = complex(x)
-        return mp.mpc(x.real, x.imag)
+        return self.ctx.mpc(x.real, x.imag)
 
-    exp = staticmethod(mp.exp)
-    sqrt = staticmethod(mp.sqrt)
-    erf_diff = staticmethod(_erf_diff_mp)
+    def erf_diff(self, z1, z2):
+        return _erf_diff_mp(self.ctx, z1, z2)
 
 
 def get_backend(backend):
@@ -128,13 +131,21 @@ class TruncationSpec:
 
 
 def _diag_quadratic(kernel: GaussianKernel, code: GkpCode, s, t):
-    """Exponent of c_{s,t}(v, v) as (Q_v, b_v, const) in v.
+    """Exponent of c_{s,t}(v, v) as (Q_v, b_v, const) in v, or None where it vanishes.
 
-    c_{s,t}(u,v) = c(u + lbar(s), v + lbar(t)) e^{i pi (u^T Om lbar(s) - v^T Om lbar(t))}.
+    FULL: c_{s,t}(u,v) = c(u + lbar(s), v + lbar(t)) e^{i pi (u^T Om lbar(s) - v^T Om lbar(t))}.
+    DIAG_DELTA: the density f(v + lbar(s)), present only for lbar(s) = lbar(t).
     """
+    ls = code.dual_vector(s)
+    if kernel.kind == DIAG_DELTA:
+        if not np.array_equal(np.asarray(s, dtype=np.int64), np.asarray(t, dtype=np.int64)):
+            return None
+        q, lin = kernel.q_matrix, kernel.linear
+        return q, 2 * q @ ls + lin, ls @ q @ ls + lin @ ls
+    if kernel.kind != FULL:
+        raise ValueError(f"cannot cell-integrate a kernel of kind {kernel.kind}")
     n = kernel.n_modes
     om = omega(n)
-    ls = code.dual_vector(s)
     lt = code.dual_vector(t)
     j = np.vstack([np.eye(2 * n), np.eye(2 * n)])
     c0 = np.concatenate([ls, lt])
@@ -142,6 +153,12 @@ def _diag_quadratic(kernel: GaussianKernel, code: GkpCode, s, t):
     bv = 2 * j.T @ kernel.q_matrix @ c0 + j.T @ kernel.linear + 1j * np.pi * (om @ (ls - lt))
     const = c0 @ kernel.q_matrix @ c0 + kernel.linear @ c0
     return qv, bv, const
+
+
+def _point_value(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell, s, t):
+    """A POINT kernel contributes amp when -lbar(s) and -lbar(t) both lie in the cell."""
+    inside = cell.contains(-code.dual_vector(s)) and cell.contains(-code.dual_vector(t))
+    return kernel.amp if inside else 0.0
 
 
 def _gaussian_1d_parts(bk, q, b, lo, hi):
@@ -171,21 +188,11 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     """
     bk = get_backend(backend)
     if kernel.kind == POINT:
-        ls = code.dual_vector(s)
-        lt = code.dual_vector(t)
-        inside = cell.contains(-ls) and cell.contains(-lt)
-        return bk.to_scalar(kernel.amp) if inside else bk.to_scalar(0.0)
-    if kernel.kind == DIAG_DELTA:
-        if not np.array_equal(np.asarray(s, dtype=np.int64), np.asarray(t, dtype=np.int64)):
-            return bk.to_scalar(0.0)
-        ls = code.dual_vector(s)
-        qv = kernel.q_matrix
-        bv = 2 * kernel.q_matrix @ ls + kernel.linear
-        const = ls @ kernel.q_matrix @ ls + kernel.linear @ ls
-    elif kernel.kind == FULL:
-        qv, bv, const = _diag_quadratic(kernel, code, s, t)
-    else:
-        raise ValueError(f"cannot cell-integrate a kernel of kind {kernel.kind}")
+        return bk.to_scalar(_point_value(kernel, code, cell, s, t))
+    form = _diag_quadratic(kernel, code, s, t)
+    if form is None:
+        return bk.to_scalar(0.0)
+    qv, bv, const = form
     scale = max(1.0, float(np.max(np.abs(qv))))
     if np.max(np.abs(qv - np.diag(np.diag(qv)))) > 1e-10 * scale:
         raise ValueError("diagonal-restricted form is not axis-aligned; use numeric_cell_integral")
@@ -239,11 +246,12 @@ def _cell_quadrature_points(cell: PrimitiveCell, order: int):
     raise ValueError(f"no quadrature rule for cell type {type(cell).__name__} in dim {cell.dim}")
 
 
-def _diag_eval_grid(kernel: GaussianKernel, code: GkpCode, s, t, pts: np.ndarray):
-    """Vectorized c_{s,t}(v, v) on grid points (FULL kernels; delta kinds handled above)."""
-    qv, bv, const = _diag_quadratic(kernel, code, s, t)
+def _quadrature(amp, form, cell: PrimitiveCell, order: int) -> complex:
+    """amp * exp(v^T Q v + b^T v + const) integrated by the cell rule of the given order."""
+    qv, bv, const = form
+    pts, wts = _cell_quadrature_points(cell, order)
     quad = np.einsum("ki,ij,kj->k", pts, qv, pts)
-    return kernel.amp * np.exp(quad + pts @ bv + const)
+    return complex(amp * np.exp(quad + pts @ bv + const) @ wts)
 
 
 def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell, s, t,
@@ -251,29 +259,16 @@ def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: Primitive
     """Quadrature of c_{s,t}(v, v) over a bounded cell; returns (value, error_estimate).
 
     The estimate compares two quadrature orders; if it exceeds tol a warning
-    is issued (never silently swallowed).
+    is issued (never silently swallowed).  POINT kernels integrate exactly by
+    cell membership.
     """
-    if kernel.kind == POINT or kernel.kind == DIAG_DELTA:
-        val = box_cell_integral(kernel, code, cell, s, t) if isinstance(cell, BoxCell) else None
-        if val is None:
-            # delta kinds integrate in closed form over any cell via membership
-            if kernel.kind == POINT:
-                ls, lt = code.dual_vector(s), code.dual_vector(t)
-                val = kernel.amp if (cell.contains(-ls) and cell.contains(-lt)) else 0.0
-            else:
-                if not np.array_equal(np.asarray(s), np.asarray(t)):
-                    return 0.0 + 0j, 0.0
-                pts, wts = _cell_quadrature_points(cell, order)
-                ls = code.dual_vector(s)
-                sh = pts + ls
-                quad = np.einsum("ki,ij,kj->k", sh, kernel.q_matrix, sh)
-                vals = kernel.amp * np.exp(quad + sh @ kernel.linear)
-                return complex(vals @ wts), 0.0
-        return complex(val), 0.0
-    pts1, wts1 = _cell_quadrature_points(cell, order)
-    pts2, wts2 = _cell_quadrature_points(cell, order + order // 2)
-    v1 = complex(_diag_eval_grid(kernel, code, s, t, pts1) @ wts1)
-    v2 = complex(_diag_eval_grid(kernel, code, s, t, pts2) @ wts2)
+    if kernel.kind == POINT:
+        return complex(_point_value(kernel, code, cell, s, t)), 0.0
+    form = _diag_quadratic(kernel, code, s, t)
+    if form is None:
+        return 0j, 0.0
+    v1 = _quadrature(kernel.amp, form, cell, order)
+    v2 = _quadrature(kernel.amp, form, cell, order + order // 2)
     err = abs(v1 - v2)
     if err > tol * max(1.0, abs(v2)):
         warnings.warn(f"cell quadrature not converged: estimate {err:.2e} at order {order}")
@@ -284,108 +279,127 @@ def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: Primitive
 # logical superoperator
 
 
-def _qudit_xz(d: int):
-    x = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        x[(a + 1) % d, a] = 1.0
-    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    return x, z
+def _phase(m: int, d: int) -> complex:
+    """e^{i pi m / d}, exact whenever it is a power of i."""
+    q, r = divmod(2 * m, d)
+    return 1j ** (q % 4) if r == 0 else np.exp(1j * np.pi * m / d)
 
 
 def pauli_matrix(dims, s) -> np.ndarray:
-    """P_d(s) = prod_j e^{i pi s_j s_{j+n} / d_j} X^{s_j} Z^{s_{j+n}} (integer s, any sign)."""
-    s = np.asarray(s, dtype=np.int64)
+    """P_d(s) = prod_j e^{i pi s_j s_{j+n} / d_j} X^{s_j} Z^{s_{j+n}} (integer s, any sign).
+
+    Entries that are powers of i (every qubit Pauli) are exact.
+    """
+    s = [int(x) for x in s]
     n = len(dims)
-    out = None
+    out = np.ones((1, 1), dtype=complex)
     for j, d in enumerate(dims):
-        x, z = _qudit_xz(d)
-        phase = np.exp(1j * np.pi * s[j] * s[j + n] / d)
-        mat = phase * np.linalg.matrix_power(x, int(s[j] % d)) @ np.linalg.matrix_power(z, int(s[j + n] % d))
-        out = mat if out is None else np.kron(out, mat)
+        x, z = s[j], s[j + n]
+        mat = np.zeros((d, d), dtype=complex)
+        for col in range(d):
+            # X^x Z^z |col> = e^{2 pi i z col / d} |col + x>
+            mat[(col + x) % d, col] = _phase(x * z + 2 * z * col, d)
+        out = np.kron(out, mat)
     return out
+
+
+def _pauli_basis(dims) -> np.ndarray:
+    """P(a) for every representative a in Z_{d_1} x ... x Z_{d_n} (x part, then
+    z part), stacked along axis 0 in chi index order; the identity comes first."""
+    ranges = [range(d) for d in dims] * 2
+    return np.stack([pauli_matrix(dims, a) for a in itertools.product(*ranges)])
+
+
+def _pauli_components(dims, ops) -> np.ndarray:
+    """g[..., a] = tr(P(a)^dag op) / d, so that op = sum_a g[a] P(a); ops has shape (..., d, d)."""
+    basis = _pauli_basis(dims)
+    m, d, _ = basis.shape
+    return ops.reshape(ops.shape[:-2] + (d * d,)) @ basis.conj().reshape(m, d * d).T / d
+
+
+def _fold(dims, s):
+    """(chi index of the representative a = s mod d, sign) with P(s) = sign * P(a).
+
+    Per mode, s = a + d k gives P(s) = (-1)^{a_1 k_2 + a_2 k_1 + d k_1 k_2} P(a).
+    """
+    n = len(dims)
+    mods = tuple(dims) * 2
+    a = [int(x) % d for x, d in zip(s, mods)]
+    k = [(int(x) - r) // d for x, r, d in zip(s, a, mods)]
+    odd = sum(a[j] * k[j + n] + a[j + n] * k[j] + dims[j] * k[j] * k[j + n] for j in range(n)) % 2
+    return int(np.ravel_multi_index(a, mods)), 1 - 2 * odd
 
 
 @dataclass
 class LogicalSuperop:
-    """Qudit superoperator sum_{s,t} c_{s,t} P(s) rho P(t)^dag.
+    """Qudit channel N(rho) = sum_{a,b} chi[a, b] P(a) rho P(b)^dag (the chi matrix
+    of Nielsen & Chuang, section 8.4.2, in the Pauli basis of pauli_matrix).
 
-    Coefficients are keyed by integer tuple pairs (s, t).  The realized
+    a and b run over the representatives of Z_{d_1} x ... x Z_{d_n} for the x
+    exponents, then the z exponents, in itertools.product order, so chi[0, 0]
+    belongs to the identity.  chi is a complex ndarray on the float path and
+    an object ndarray of mpmath numbers on the mpmath path; every method and
+    metric works on either.  Raw window coefficients c_{s,t} come from
+    window_coefficients and fold in through from_pauli_pairs.  The realized
     matrix acts on column-major vec(rho).
     """
 
     dims: tuple
-    coeffs: dict
+    chi: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_pauli_pairs(cls, dims, coeffs: dict) -> "LogicalSuperop":
+        """Fold {(s, t): c_{s,t}} over integer Pauli labels into chi; an mpmath
+        coefficient makes chi an object array at that coefficient's precision."""
+        dims = tuple(dims)
+        m = int(np.prod(dims)) ** 2
+        values = list(coeffs.values())
+        dtype = object if np.asarray(values).dtype == object else complex
+        if dtype is object and max(dims) > 2:
+            raise ValueError("mpmath channels need qubit modes, whose Pauli phases are exact")
+        chi = np.full((m, m), 0 * values[0], dtype=dtype)
+        for (s, t), c in sorted(coeffs.items()):
+            i, sign_s = _fold(dims, s)
+            j, sign_t = _fold(dims, t)
+            chi[i, j] += sign_s * sign_t * c
+        return cls(dims, chi)
 
     @property
     def d_total(self) -> int:
         return int(np.prod(self.dims))
 
     def matrix(self) -> np.ndarray:
+        """sum_{a,b} chi[a, b] conj(P(b)) (x) P(a)."""
         d = self.d_total
-        out = np.zeros((d * d, d * d), dtype=complex)
-        for (s, t), c in sorted(self.coeffs.items()):
-            ps = pauli_matrix(self.dims, s)
-            pt = pauli_matrix(self.dims, t)
-            out += c * np.kron(pt.conj(), ps)
-        return out
+        basis = _pauli_basis(self.dims).reshape(-1, d * d)
+        t = (basis.T @ self.chi @ basis.conj()).reshape(d, d, d, d)  # [i2, j2, i1, j1]
+        return t.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         d = self.d_total
-        rho = np.asarray(rho, dtype=complex)
-        return (self.matrix() @ rho.reshape(-1, order="F")).reshape(d, d, order="F")
+        return (self.matrix() @ np.asarray(rho).reshape(-1, order="F")).reshape(d, d, order="F")
 
-    def hermitivity_defect(self) -> float:
-        worst = 0.0
-        for (s, t), c in self.coeffs.items():
-            worst = max(worst, abs(c - np.conj(self.coeffs.get((t, s), 0.0))))
-        return worst
+    def hermitivity_defect(self):
+        """max |chi - chi^dag|; zero when the channel maps Hermitian operators to Hermitian ones."""
+        return np.max(np.abs(self.chi - self.chi.conj().T))
 
     def conjugate_input(self, op: np.ndarray) -> "LogicalSuperop":
-        """The composition rho -> self(op rho op^dag), re-expanded over Pauli pairs."""
-        op = np.asarray(op, dtype=complex)
-        d = self.d_total
-        # expand op over the Pauli frame
-        gammas = {}
-        ranges = [range(dd) for dd in self.dims] + [range(dd) for dd in self.dims]
-        for u in itertools.product(*ranges):
-            pu = pauli_matrix(self.dims, u)
-            g = np.trace(pu.conj().T @ op) / d
-            if abs(g) > 1e-16:
-                gammas[u] = g
-        new = {}
-        for (s, t), c in self.coeffs.items():
-            for u, gu in gammas.items():
-                su, phase_su = _pauli_product_key(self.dims, s, u)
-                for w, gw in gammas.items():
-                    tw, phase_tw = _pauli_product_key(self.dims, t, w)
-                    key = (su, tw)
-                    new[key] = new.get(key, 0.0) + c * gu * np.conj(gw) * phase_su * np.conj(phase_tw)
-        return LogicalSuperop(self.dims, new, dict(self.meta))
+        """The composition rho -> self(op rho op^dag).
+
+        With P(a) op = sum_c A[a, c] P(c), the composed chi is A^T chi conj(A).
+        """
+        a = _pauli_components(self.dims, _pauli_basis(self.dims) @ np.asarray(op))
+        return LogicalSuperop(self.dims, a.T @ self.chi @ a.conj(), dict(self.meta))
 
     def to_dict(self) -> dict:
-        entries = [{"s": list(s), "t": list(t), "re": float(np.real(c)), "im": float(np.imag(c))}
-                   for (s, t), c in sorted(self.coeffs.items())]
-        return {"dims": list(self.dims), "coeffs": entries,
-                "matrix_re": np.real(self.matrix()).tolist(),
-                "matrix_im": np.imag(self.matrix()).tolist()}
+        """JSON-ready form; chi is written in double precision."""
+        chi = self.chi.astype(complex)
+        return {"dims": list(self.dims), "chi_re": chi.real.tolist(), "chi_im": chi.imag.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LogicalSuperop":
-        coeffs = {(tuple(e["s"]), tuple(e["t"])): e["re"] + 1j * e["im"] for e in data["coeffs"]}
-        return cls(tuple(data["dims"]), coeffs)
-
-
-def _pauli_product_key(dims, s, u):
-    """P(s) P(u) = phase * P(s + u); returns (tuple(s + u), phase)."""
-    s = np.asarray(s, dtype=np.int64)
-    u = np.asarray(u, dtype=np.int64)
-    n = len(dims)
-    phase = 1.0 + 0j
-    for j, d in enumerate(dims):
-        # single-mode rule: P(s)P(u) = e^{-i pi (s_j u_{j+n} - s_{j+n} u_j)/d} P(s+u)
-        phase *= np.exp(-1j * np.pi * (s[j] * u[j + n] - s[j + n] * u[j]) / d)
-    return tuple((s + u).tolist()), phase
+        return cls(tuple(data["dims"]), np.array(data["chi_re"]) + 1j * np.array(data["chi_im"]))
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +450,20 @@ def _decay_precheck(cf: ChannelCharFn, code: GkpCode, s_max: int,
         )
 
 
-def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
-                    trunc: TruncationSpec = TruncationSpec(1), backend=None,
-                    quad_order: int = 40, decay_threshold: float = 1e-30,
-                    probe_radius: int = 16) -> LogicalSuperop:
-    """Logical noise superoperator of the channel on the code/cell decoder.
+def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
+                        trunc: TruncationSpec = TruncationSpec(1), backend=None,
+                        quad_order: int = 40) -> dict:
+    """Raw Pauli-pair coefficients {(s, t): c_{s,t}} over the truncation window:
+    cell integrals of c_{s,t}(v, v), summed over the kernel terms.
 
-    Coefficients are cell integrals of c_{s,t}(v, v) over the truncation
-    window; summation order is fixed (sorted keys) for reproducibility.
+    Box cells integrate in closed form with the backend's scalars; other
+    cells by quadrature, in double precision only.
     """
-    _decay_precheck(cf, code, trunc.s_max, probe_radius, decay_threshold)
     window = trunc.window(2 * code.n_modes)
     bk = get_backend(backend)
     use_box = isinstance(cell, BoxCell)
+    if bk.name == "mpmath" and not use_box:
+        raise ValueError("the mpmath backend integrates box cells only")
     coeffs = {}
     for s in window:
         for t in window:
@@ -460,28 +475,26 @@ def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                     val, _ = numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
                     total = total + complex(w) * val
             coeffs[(s, t)] = total
-    meta = {"s_max": trunc.s_max, "backend": bk.name}
-    if bk.name == "numpy":
-        coeffs = {k: complex(v) for k, v in coeffs.items()}
-    return LogicalSuperop(code.dims, coeffs, meta)
+    return coeffs
+
+
+def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
+                    trunc: TruncationSpec = TruncationSpec(1), backend=None,
+                    quad_order: int = 40, decay_threshold: float = 1e-30,
+                    probe_radius: int = 16) -> LogicalSuperop:
+    """Logical noise channel of cf on the code/cell decoder: decay precheck,
+    window coefficients, then the fold into chi (fixed, sorted summation
+    order for reproducibility)."""
+    _decay_precheck(cf, code, trunc.s_max, probe_radius, decay_threshold)
+    bk = get_backend(backend)
+    ch = LogicalSuperop.from_pauli_pairs(
+        code.dims, window_coefficients(code, cell, cf, trunc, bk, quad_order))
+    ch.meta = {"s_max": trunc.s_max, "backend": bk.name}
+    return ch
 
 
 # ---------------------------------------------------------------------------
 # high-precision channel analysis (deep-squeezing regime)
-
-
-def _mp_pauli(s):
-    """Exact 2x2 qubit Pauli P(s) as an mpmath matrix."""
-    s1, s2 = int(s[0]), int(s[1])
-    phase = mp.exp(1j * mp.pi * s1 * s2 / 2)
-    x = mp.matrix([[0, 1], [1, 0]])
-    z = mp.matrix([[1, 0], [0, -1]])
-    out = mp.eye(2)
-    if s1 % 2:
-        out = x * out
-    if s2 % 2:
-        out = out * z
-    return phase * out
 
 
 def suggest_dps(delta: float, margin: int = 60) -> int:
@@ -498,77 +511,33 @@ def highprec_channel_analysis(cf: ChannelCharFn, code: GkpCode, cell: BoxCell,
                               dps: int = 50) -> dict:
     """Orthonormalized logical-channel metrics computed in arbitrary precision.
 
-    Returns {"infidelity", "fidelity", "tp_defect", "min_choi_eig", "gram"}
-    as mpmath numbers.  Restricted to single-mode qubit codes over box cells;
-    kernels are composed in double precision (their parameters are O(1/Delta^2)
-    and well conditioned) while every erf difference and coefficient is
-    accumulated in mpmath, which is what the deeply squeezed regime needs.
+    The float pipeline (logical_channel, Loewdin orthonormalization, fidelity
+    and CPTP metrics) with the mpmath backend at dps digits in a private
+    context.  Returns {"infidelity", "fidelity", "tp_defect", "min_choi_eig",
+    "gram"} as mpmath numbers (gram as an object ndarray).  Single-mode qubit
+    codes on box cells only; kernels are composed in double precision (their
+    parameters are O(1/Delta^2) and well conditioned), every erf difference
+    and everything after it at dps digits.
     """
-    if code.dims != (2,):
-        raise ValueError("high-precision analysis supports single-mode qubit codes")
-    _decay_precheck(cf, code, trunc.s_max)
-    old_dps = mp.mp.dps
-    mp.mp.dps = dps
-    try:
-        bk = _MpmathBackend(dps)
-        window = trunc.window(2)
-        coeffs = {}
-        for s in window:
-            for t in window:
-                total = mp.mpc(0)
-                for w, kern in cf.terms:
-                    total += bk.to_scalar(w) * box_cell_integral(kern, code, cell, s, t, bk)
-                coeffs[(s, t)] = total
+    from .metrics import (
+        average_gate_fidelity,
+        cptp_diagnostics,
+        gram_from_channel,
+        lowdin_orthonormalize,
+        ortho_matrix_from_gram,
+    )
 
-        paulis = {s: _mp_pauli(s) for s in window}
-        # Gram G[mu, nu] = sum c_{s,t} <mu| P(t)^dag P(s) |nu>
-        gram = mp.zeros(2, 2)
-        for (s, t), c in coeffs.items():
-            m = paulis[t].H * paulis[s]
-            for mu in range(2):
-                for nu in range(2):
-                    gram[mu, nu] += c * m[mu, nu]
-        n0 = mp.sqrt(mp.re(gram[0, 0]))
-        n1 = mp.sqrt(mp.re(gram[1, 1]))
-        overlap = gram[0, 1]
-        r = abs(overlap) / (n0 * n1)
-        phi = mp.arg(overlap) if abs(overlap) > mp.mpf("1e-100") * n0 * n1 else mp.mpf(0)
-        rp = 1 / mp.sqrt(1 + r) + 1 / mp.sqrt(1 - r)
-        rm = 1 / mp.sqrt(1 + r) - 1 / mp.sqrt(1 - r)
-        c_mat = mp.matrix([
-            [rp / (2 * n0), mp.exp(-1j * phi) * rm / (2 * n1)],
-            [mp.exp(1j * phi) * rm / (2 * n0), rp / (2 * n1)],
-        ])
-        c_hat = c_mat.T
-
-        ops = {s: paulis[s] * c_hat for s in window}
-        traces = {s: ops[s][0, 0] + ops[s][1, 1] for s in window}
-        fe = mp.mpc(0)
-        tp = mp.zeros(2, 2)
-        choi = mp.zeros(4, 4)
-        for (s, t), c in coeffs.items():
-            fe += c * traces[s] * mp.conj(traces[t])
-            m = ops[t].H * ops[s]
-            for a in range(2):
-                for b in range(2):
-                    tp[a, b] += c * m[a, b]
-            for i in range(2):
-                for a in range(2):
-                    for j in range(2):
-                        for b in range(2):
-                            choi[i * 2 + a, j * 2 + b] += c * ops[s][a, i] * mp.conj(ops[t][b, j])
-        fe = mp.re(fe) / 4
-        fidelity = (2 * fe + 1) / 3
-        tp_defect = max(abs(tp[a, b] - (1 if a == b else 0)) for a in range(2) for b in range(2))
-        choi_h = (choi + choi.H) / 2
-        eigs = mp.eighe(choi_h, eigvals_only=True)
-        min_eig = min(mp.re(e) for e in eigs)
-        return {
-            "infidelity": 1 - fidelity,
-            "fidelity": fidelity,
-            "tp_defect": tp_defect,
-            "min_choi_eig": min_eig,
-            "gram": gram,
-        }
-    finally:
-        mp.mp.dps = old_dps
+    if code.dims != (2,) or not isinstance(cell, BoxCell):
+        raise ValueError("high-precision analysis supports single-mode qubit codes on box cells")
+    ch = logical_channel(code, cell, cf, trunc, backend=_MpmathBackend(dps))
+    gram = gram_from_channel(ch)
+    _, och = lowdin_orthonormalize(ch, ortho_matrix_from_gram(gram))
+    fidelity = average_gate_fidelity(och, warn=False)
+    tp_defect, min_eig = cptp_diagnostics(och)
+    return {
+        "infidelity": 1 - fidelity,
+        "fidelity": fidelity,
+        "tp_defect": tp_defect,
+        "min_choi_eig": min_eig,
+        "gram": gram,
+    }

@@ -1,14 +1,19 @@
 """Codeword orthonormalization, channel fidelity metrics, CPTP diagnostics,
-Bloch-sphere analysis, and the trivial Fock-encoding baselines."""
+Bloch-sphere analysis, and the trivial Fock-encoding baselines.
+
+The channel metrics read chi with numpy operations that hold both for a
+complex chi and for an object chi of mpmath numbers; only the Hermitian
+eigensolver depends on the precision, and _eigvalsh picks it from the dtype.
+"""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import sqrtm
 
-from .logical import LogicalSuperop, pauli_matrix
+from .logical import LogicalSuperop, _pauli_basis, _pauli_components
 
 
 @dataclass
@@ -17,62 +22,70 @@ class OrthoMatrix:
 
     c_matrix rows express the orthonormalized codewords in terms of the
     normalized non-orthogonal ones; the remaining fields are the scalars the
-    construction is built from.
+    construction is built from, with phase = e^{i phi} of the cross overlap.
     """
 
     c_matrix: np.ndarray
     n0: float
     n1: float
     overlap_r: float
-    phi: float
+    phase: complex
     r_plus: float
     r_minus: float
+
+    @property
+    def phi(self) -> float:
+        """The overlap phase angle, in double precision."""
+        return float(np.angle(complex(self.phase)))
 
     def as_operator(self) -> np.ndarray:
         """The logical-space operator C_hat with |mu_ortho> = envelope * C_hat |mu_ideal>."""
         return self.c_matrix.T
 
 
+def _eigvalsh(h: np.ndarray):
+    """Eigenvalues of a Hermitian matrix, at the precision of its entries."""
+    if h.dtype != object:
+        return np.linalg.eigvalsh(h)
+    ctx = h[0, 0].context
+    return list(ctx.eighe(ctx.matrix(h.tolist()), eigvals_only=True))
+
+
 def gram_from_channel(channel: LogicalSuperop) -> np.ndarray:
-    """Codeword Gram matrix G[mu, nu] = tr(E(|nu><mu|)) extracted from a raw
-    (non-trace-preserving) logical envelope channel."""
-    d = channel.d_total
-    mat = channel.matrix()
-    g = np.zeros((d, d), dtype=complex)
-    for mu in range(d):
-        for nu in range(d):
-            rho = np.zeros((d, d), dtype=complex)
-            rho[nu, mu] = 1.0
-            out = (mat @ rho.reshape(-1, order="F")).reshape(d, d, order="F")
-            g[mu, nu] = np.trace(out)
-    return g
+    """Codeword Gram matrix G[mu, nu] = tr(E(|nu><mu|)) = sum_ab chi[a, b] <mu|P(b)^dag P(a)|nu>,
+    extracted from a raw (non-trace-preserving) logical envelope channel."""
+    basis = _pauli_basis(channel.dims)
+    m, d, _ = basis.shape
+    weighted = channel.chi.T @ basis.reshape(m, d * d)  # row b: sum_a chi[a, b] P(a)
+    return basis.conj().reshape(m * d, d).T @ weighted.reshape(m * d, d)
 
 
-def ortho_matrix_from_gram(g: np.ndarray, phase_floor: float = 1e-14) -> OrthoMatrix:
+def ortho_matrix_from_gram(g: np.ndarray, phase_floor: float = 0.0) -> OrthoMatrix:
     """Symmetric (Loewdin) orthonormalization matrix of two nearly orthogonal codewords.
 
     Normalizes each codeword, then applies the inverse square root of the
-    normalized Gram.  phi defaults to 0 when the cross overlap magnitude is
-    below phase_floor.
+    normalized Gram.  The phase e^{i phi} is overlap / |overlap|, and 1 when
+    the normalized overlap |overlap| / (n0 n1) is at most phase_floor (by
+    default: when the overlap vanishes).  Works on float and mpmath Grams.
     """
     if g.shape != (2, 2):
         raise ValueError("orthonormalization is defined for qubit codes")
-    n0 = np.sqrt(np.real(g[0, 0]))
-    n1 = np.sqrt(np.real(g[1, 1]))
-    if not (np.isfinite(n0) and np.isfinite(n1)) or min(n0, n1) <= 0:
+    g00, g11 = g[0, 0].real, g[1, 1].real
+    if not (0 < g00 < np.inf and 0 < g11 < np.inf):
         raise ValueError("degenerate codewords: Gram matrix is not positive definite")
+    n0, n1 = g00 ** 0.5, g11 ** 0.5
     overlap = g[0, 1]
     r = abs(overlap) / (n0 * n1)
     if r >= 1:
         raise ValueError("degenerate codewords: normalized overlap >= 1")
-    phi = float(np.angle(overlap)) if abs(overlap) > phase_floor else 0.0
-    r_plus = 1 / np.sqrt(1 + r) + 1 / np.sqrt(1 - r)
-    r_minus = 1 / np.sqrt(1 + r) - 1 / np.sqrt(1 - r)
+    phase = overlap / abs(overlap) if r > phase_floor else 1
+    r_plus = (1 + r) ** -0.5 + (1 - r) ** -0.5
+    r_minus = (1 + r) ** -0.5 - (1 - r) ** -0.5
     c = np.array([
-        [r_plus / (2 * n0), np.exp(-1j * phi) * r_minus / (2 * n1)],
-        [np.exp(1j * phi) * r_minus / (2 * n0), r_plus / (2 * n1)],
+        [r_plus / (2 * n0), phase.conjugate() * r_minus / (2 * n1)],
+        [phase * r_minus / (2 * n0), r_plus / (2 * n1)],
     ])
-    return OrthoMatrix(c, n0, n1, r, phi, r_plus, r_minus)
+    return OrthoMatrix(c, n0, n1, r, phase, r_plus, r_minus)
 
 
 def lowdin_orthonormalize(channel: LogicalSuperop, ortho: OrthoMatrix = None):
@@ -89,61 +102,39 @@ def lowdin_orthonormalize(channel: LogicalSuperop, ortho: OrthoMatrix = None):
     return ortho, composed
 
 
+def _tp_defect(channel: LogicalSuperop):
+    """max |tr E(|i><j|) - delta_ij|."""
+    return np.max(np.abs(gram_from_channel(channel) - np.eye(channel.d_total)))
+
+
 def average_gate_fidelity(channel: LogicalSuperop, tp_tol: float = 1e-6,
-                          warn: bool = True) -> float:
-    """Average gate fidelity F = (d F_e + 1)/(d + 1) via the entanglement fidelity.
+                          warn: bool = True):
+    """Average gate fidelity F = (d F_e + 1)/(d + 1), with the entanglement
+    fidelity F_e = chi[0, 0] (the identity's entry).
 
     Warns (and still reports the raw value) if the channel is not trace
     preserving to tp_tol.
     """
     d = channel.d_total
-    mat = channel.matrix()
-    fe = 0.0 + 0j
-    for i in range(d):
-        for j in range(d):
-            rho = np.zeros((d, d), dtype=complex)
-            rho[i, j] = 1.0
-            out = (mat @ rho.reshape(-1, order="F")).reshape(d, d, order="F")
-            fe += out[i, j]
-    fe /= d * d
     if warn:
-        defect, _ = cptp_diagnostics(channel)
+        defect = _tp_defect(channel)
         if defect > tp_tol:
-            import warnings
-
-            warnings.warn(f"channel is not TP (defect {defect:.2e}); fidelity is raw")
-    return float(np.real((d * fe + 1) / (d + 1)))
+            warnings.warn(f"channel is not TP (defect {float(defect):.2e}); fidelity is raw")
+    return ((d * channel.chi[0, 0] + 1) / (d + 1)).real
 
 
 def choi_matrix(channel: LogicalSuperop) -> np.ndarray:
-    """J = sum_ij |i><j| (x) E(|i><j|)."""
+    """J = sum_ij |i><j| (x) E(|i><j|) = V chi V^dag, where column a of V is
+    sum_i |i> (x) P(a)|i>."""
     d = channel.d_total
-    mat = channel.matrix()
-    j_out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            rho = np.zeros((d, d), dtype=complex)
-            rho[i, j] = 1.0
-            out = (mat @ rho.reshape(-1, order="F")).reshape(d, d, order="F")
-            j_out += np.kron(np.outer(np.eye(d)[i], np.eye(d)[j]), out)
-    return j_out
+    v = _pauli_basis(channel.dims).transpose(0, 2, 1).reshape(-1, d * d).T
+    return v @ channel.chi @ v.conj().T
 
 
 def cptp_diagnostics(channel: LogicalSuperop):
     """(tp_defect, min_choi_eigenvalue)."""
-    d = channel.d_total
-    mat = channel.matrix()
-    tp = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            rho = np.zeros((d, d), dtype=complex)
-            rho[i, j] = 1.0
-            out = (mat @ rho.reshape(-1, order="F")).reshape(d, d, order="F")
-            tp[i, j] = np.trace(out)
-    tp_defect = float(np.max(np.abs(tp - np.eye(d))))
     j_mat = choi_matrix(channel)
-    eig = np.linalg.eigvalsh((j_mat + j_mat.conj().T) / 2)
-    return tp_defect, float(eig.min())
+    return _tp_defect(channel), min(_eigvalsh((j_mat + j_mat.conj().T) / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +142,9 @@ def cptp_diagnostics(channel: LogicalSuperop):
 
 
 def _kraus_to_superop(kraus) -> LogicalSuperop:
-    dims = (2,)
-    paulis = {u: pauli_matrix(dims, u) for u in [(0, 0), (1, 0), (0, 1), (1, 1)]}
-    coeffs = {}
-    for k in kraus:
-        gam = {u: np.trace(p.conj().T @ k) / 2 for u, p in paulis.items()}
-        for u, gu in gam.items():
-            for w, gw in gam.items():
-                if abs(gu) < 1e-16 or abs(gw) < 1e-16:
-                    continue
-                key = (u, w)
-                coeffs[key] = coeffs.get(key, 0.0) + gu * np.conj(gw)
-    return LogicalSuperop(dims, coeffs)
+    """chi[a, b] = sum_k g_k[a] conj(g_k[b]) for Kraus operators K_k = sum_a g_k[a] P(a)."""
+    g = _pauli_components((2,), np.array(kraus))
+    return LogicalSuperop((2,), g.T @ g.conj())
 
 
 def fock_qubit_baseline(noise: str, param: float) -> LogicalSuperop:

@@ -9,11 +9,11 @@ amp_mu(k) |mu, k>, so sampled continua carry quadrature weights.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BoxCell, GkpCode, PrimitiveCell, TransformedCell, UnionCell
+from .lattice import GkpCode, PrimitiveCell, TransformedCell, UnionCell
 from .logical import pauli_matrix
 from .symplectic import assert_symplectic, is_integral, omega, symplectic_product
 
@@ -51,16 +51,6 @@ class SubsystemKet:
             for t in terms:
                 total += t.weight * abs(t.amp) ** 2
         return total
-
-    def map_terms(self, fn) -> "SubsystemKet":
-        new = []
-        for t in self.terms:
-            out = fn(t)
-            if isinstance(out, KetTerm):
-                new.append(out)
-            else:
-                new.extend(out)
-        return SubsystemKet(self.params, new)
 
 
 def _group_by_k(terms, tol: float = 1e-9):
@@ -161,12 +151,6 @@ def square_cell_grid(order: int = 32):
 
 def vacuum_wavefunction():
     return lambda x: np.pi ** -0.25 * np.exp(-x * x / 2.0)
-
-
-def squeezed_vacuum_wavefunction(r: float):
-    """Position-squeezed vacuum with variance scaled by e^{-2r}."""
-    s = np.exp(-r)
-    return lambda x: (np.pi * s * s) ** -0.25 * np.exp(-x * x / (2 * s * s))
 
 
 def position_gaussian_wavefunction(x0: float, width: float):

@@ -1,0 +1,117 @@
+"""`gkpsim` subcommands driven through cli.main on tiny configs, against
+values printed by the code before the chi representation replaced the
+Pauli-pair dict.
+
+Float columns agree to 1e-9 relative, with an absolute floor for values that
+are rounding noise (trace defects, Choi eigenvalues and Bloch components
+near 1e-16 and below).  smax_residual divides a difference of two
+fidelities by the infidelity, so its rounding floor is 1e-15 / infidelity.
+High-precision rows (above 25 dB) must reproduce every printed digit of the
+infidelity; their tp_defect and min_choi_eig sit at the working-precision
+noise level (about 1e-200 at 26 dB), so only their size is checked.
+"""
+
+import json
+
+import mpmath as mp
+
+from gkpsim import cli
+
+REL = 1e-9
+NOISE = 1e-15
+
+ENVELOPE_SWEEP = """\
+delta_db,nbar_est,noise_param,avg_gate_infidelity,tp_defect,min_choi_eig,smax_residual,is_baseline
+8,2.6547867224009667,0,0.0021036638176424871,4.4408920985037451e-16,5.1411943921186261e-06,3.0873776692780779e-11,0
+26,198.55358527674869,0,6.8557214597667489e-138,2.6192633760572472e-201,-2.4795424599424483e-201,0.0,0
+"""
+
+LOSS_SWEEP = """\
+delta_db,nbar_est,noise_param,avg_gate_infidelity,tp_defect,min_choi_eig,smax_residual,is_baseline
+8,2.6547867224009667,0.01,0.0028669369918116194,5.3844763693495977e-16,9.5807245268905923e-06,6.3547820853028699e-11,0
+12,7.4244659623055664,0.01,4.7884142586607226e-06,7.0212627287180505e-16,2.579518924714563e-11,0,0
+nan,0.5,0.01,0.0033375209644600501,2.2204460492503131e-16,-2.4271202147905364e-16,0,1
+"""
+
+BLOCH = """\
+delta_db,state,r_x,r_y,r_z,inside_octahedron
+6,0.076286387972294589,3.9565019661571786e-20,0.97628137988172936,0
+6,0.086206448483599207,-4.6648337282991314e-20,-0.97491446829358452,0
+6,0.97628137988172914,5.9285994870933139e-18,0.0762863879722947,0
+6,-0.97491446829358475,-6.9899954771995583e-18,0.086206448483599263,0
+10,0.0007558001252043297,-5.9931632967035174e-24,0.99985322930001552,0
+10,0.00075676214184030774,-3.6013416612327759e-24,-0.99985315986070344,0
+10,0.99985322930001563,5.5251203605388047e-20,0.00075580012520437556,0
+10,-0.99985315986070344,-5.5344449725646664e-20,0.00075676214184033919,0
+"""
+
+
+def _run(tmp_path, command, cfg, *extra):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+    return out.read_text()
+
+
+def _rows(csv_text):
+    lines = csv_text.splitlines()
+    return lines[0].split(","), [[mp.mpf(v) for v in line.split(",")] for line in lines[1:]]
+
+
+def _assert_sweep_close(got_text, want_text):
+    header, got = _rows(got_text)
+    _, want = _rows(want_text)
+    assert header == cli.SWEEP_COLUMNS
+    assert len(got) == len(want)
+    col = {name: i for i, name in enumerate(header)}
+    for g, w in zip(got, want):
+        highprec = w[col["delta_db"]] > cli.HIGHPREC_DB_THRESHOLD
+        infid = w[col["avg_gate_infidelity"]]
+        for name, i in col.items():
+            if highprec and name == "avg_gate_infidelity":
+                assert abs(g[i] - w[i]) <= 1e-16 * w[i], name
+            elif highprec and name == "tp_defect":
+                assert 0 <= g[i] < 1e-150
+            elif highprec and name == "min_choi_eig":
+                assert g[i] >= -1e-9
+            elif name == "delta_db" and mp.isnan(w[i]):
+                assert mp.isnan(g[i])
+            else:
+                floor = NOISE / infid if name == "smax_residual" and infid > 0 else NOISE
+                assert abs(g[i] - w[i]) <= REL * abs(w[i]) + floor, (name, g[i], w[i])
+
+
+def test_sweep_envelope_float_and_highprec_rows(tmp_path):
+    cfg = {"noise": "envelope", "delta_db": [8, 26], "noise_param": [0.0], "smax": 1,
+           "baseline": True}
+    _assert_sweep_close(_run(tmp_path, "sweep", cfg), ENVELOPE_SWEEP)
+
+
+def test_sweep_loss_with_baseline(tmp_path):
+    cfg = {"noise": "loss", "delta_db": [8, 12], "noise_param": [0.01], "smax": 1,
+           "baseline": True}
+    _assert_sweep_close(_run(tmp_path, "sweep", cfg), LOSS_SWEEP)
+
+
+def test_bloch_trajectory(tmp_path):
+    got = _run(tmp_path, "bloch-trajectory", {"delta_db": [6, 10], "smax": 1})
+    got_header, got_rows = _rows(got)
+    want_header, want_rows = _rows(BLOCH)
+    assert got_header == want_header
+    assert len(got_rows) == len(want_rows)
+    for g, w in zip(got_rows, want_rows):
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            assert abs(a - b) <= REL * abs(b) + NOISE
+
+
+def test_sweep_threads_are_byte_identical(tmp_path):
+    # a float row and an mpmath row run side by side: the mpmath row keeps
+    # its precision in a private context, so neither row changes the other
+    before = mp.mp.dps
+    cfg = {"noise": "envelope", "delta_db": [10, 26], "noise_param": [0.0]}
+    serial = _run(tmp_path, "sweep", cfg, "--smax", "0", "--threads", "1")
+    parallel = _run(tmp_path, "sweep", cfg, "--smax", "0", "--threads", "2")
+    assert parallel == serial
+    assert mp.mp.dps == before

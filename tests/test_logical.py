@@ -1,5 +1,8 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.special import erf as _scipy_erf
 
@@ -16,14 +19,16 @@ from gkpsim.logical import (
     DecayViolationError,
     LogicalSuperop,
     TruncationSpec,
+    _MpmathBackend,
     box_cell_integral,
     complex_erf,
     highprec_channel_analysis,
     logical_channel,
     numeric_cell_integral,
     pauli_matrix,
+    window_coefficients,
 )
-from gkpsim.metrics import average_gate_fidelity, lowdin_orthonormalize
+from gkpsim.metrics import average_gate_fidelity, cptp_diagnostics, lowdin_orthonormalize
 
 SQ = square_code()
 CELL = voronoi_box(SQ)
@@ -232,10 +237,10 @@ def test_truncation_residual_monotone():
 
 def test_coefficient_decay_is_exponential():
     # |coeff(s,t)| <= coeff(0,0) exp(-c (|s|^2 + |t|^2)) with fitted c > 0
-    ch = logical_channel(SQ, CELL, envelope_charfun(0.5), TruncationSpec(2))
-    c00 = abs(ch.coeffs[((0, 0), (0, 0))])
+    coeffs = window_coefficients(SQ, CELL, envelope_charfun(0.5), TruncationSpec(2))
+    c00 = abs(coeffs[((0, 0), (0, 0))])
     rates = []
-    for (s, t), c in ch.coeffs.items():
+    for (s, t), c in coeffs.items():
         r2 = np.sum(np.square(s)) + np.sum(np.square(t))
         if r2 > 0 and abs(c) > 0:
             rates.append(-np.log(abs(c) / c00) / r2)
@@ -281,3 +286,98 @@ def test_highprec_matches_float_path():
     infid = 1 - average_gate_fidelity(och, warn=False)
     assert float(res["infidelity"]) == pytest.approx(infid, rel=1e-10)
     assert float(res["tp_defect"]) < 1e-12
+
+
+def test_highprec_leaves_global_precision_alone():
+    before = mp.mp.dps
+    delta = 10 ** (-8 / 20)
+    highprec_channel_analysis(envelope_charfun(delta), SQ, CELL, TruncationSpec(0), dps=40)
+    assert mp.mp.dps == before
+    with pytest.raises(DecayViolationError):
+        highprec_channel_analysis(loss_charfun(0.05), SQ, CELL, TruncationSpec(1), dps=40)
+    assert mp.mp.dps == before
+
+
+def test_mpmath_backend_channel_runs_at_its_precision():
+    # at 20 dB the infidelity (~1e-34) is lost in double precision; the
+    # backend's 60 digits resolve it through the shared float metrics
+    delta = 10 ** (-20 / 20)
+    ch = logical_channel(SQ, CELL, envelope_charfun(delta), TruncationSpec(1), backend="mpmath")
+    assert ch.chi.dtype == object
+    _, och = lowdin_orthonormalize(ch)
+    infid = 1 - average_gate_fidelity(och, warn=False)
+    ref = highprec_channel_analysis(envelope_charfun(delta), SQ, CELL, TruncationSpec(1), dps=100)
+    assert 0 < ref["infidelity"] < 1e-30
+    assert abs(infid - ref["infidelity"]) < 1e-20 * ref["infidelity"]
+    tp, choi = cptp_diagnostics(och)
+    assert tp < 1e-50
+    assert choi > -1e-50
+
+
+def test_mpmath_backend_refuses_quadrature_cells():
+    with pytest.raises(ValueError, match="box cells"):
+        logical_channel(SQ, VoronoiCell(SQ), envelope_charfun(0.5), TruncationSpec(0),
+                        backend=_MpmathBackend(30))
+
+
+# ---------------------------------------------------------------------------
+# chi-representation properties
+
+
+def _dict_sum_matrix(dims, coeffs):
+    """Oracle: the Pauli-pair superoperator sum_{s,t} c_{s,t} conj(P(t)) (x) P(s)."""
+    d = int(np.prod(dims))
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for (s, t), c in coeffs.items():
+        out += c * np.kron(pauli_matrix(dims, t).conj(), pauli_matrix(dims, s))
+    return out
+
+
+@st.composite
+def _pauli_pair_dicts(draw, hermitian=False):
+    dims = draw(st.sampled_from([(2,), (3,), (2, 2)]))
+    label = st.tuples(*[st.integers(-3, 3)] * (2 * len(dims)))
+    coeff = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+    coeffs = draw(st.dictionaries(st.tuples(label, label), coeff, min_size=1, max_size=8))
+    if hermitian:
+        keys = set(coeffs) | {(t, s) for s, t in coeffs}
+        coeffs = {(s, t): (coeffs.get((s, t), 0) + np.conj(coeffs.get((t, s), 0))) / 2
+                  for s, t in keys}
+    return dims, coeffs
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_pauli_pair_dicts())
+def test_chi_fold_matches_pauli_pair_sum(case):
+    dims, coeffs = case
+    got = LogicalSuperop.from_pauli_pairs(dims, coeffs).matrix()
+    assert np.max(np.abs(got - _dict_sum_matrix(dims, coeffs))) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_pauli_pair_dicts(), st.integers(0, 2 ** 32 - 1))
+def test_conjugate_input_composes(case, seed):
+    dims, coeffs = case
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(seed)
+    gamma = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    ch = LogicalSuperop.from_pauli_pairs(dims, coeffs)
+    expect = ch.matrix() @ np.kron(gamma.conj(), gamma)
+    assert np.max(np.abs(ch.conjugate_input(gamma).matrix() - expect)) < 1e-12 * max(1, np.max(np.abs(expect)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_pauli_pair_dicts(hermitian=True))
+def test_hermitian_pairs_give_hermitian_chi(case):
+    dims, coeffs = case
+    chi = LogicalSuperop.from_pauli_pairs(dims, coeffs).chi
+    assert np.max(np.abs(chi - chi.conj().T)) < 1e-14
+
+
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(st.floats(0.3, 0.8))
+def test_lowdin_output_of_envelope_channel_is_tp(delta):
+    ch = logical_channel(SQ, CELL, envelope_charfun(delta), TruncationSpec(1))
+    _, och = lowdin_orthonormalize(ch)
+    tp, _ = cptp_diagnostics(och)
+    assert tp < 1e-12

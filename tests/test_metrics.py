@@ -137,13 +137,13 @@ def test_orthonormalization_negligible_at_moderate_photon_number():
 
 
 def test_fidelity_identity():
-    ident = LogicalSuperop((2,), {((0, 0), (0, 0)): 1.0 + 0j})
+    ident = LogicalSuperop.from_pauli_pairs((2,), {((0, 0), (0, 0)): 1.0 + 0j})
     assert average_gate_fidelity(ident) == pytest.approx(1.0)
 
 
 def test_fidelity_depolarizing():
     p = 0.34
-    dep = LogicalSuperop((2,), {
+    dep = LogicalSuperop.from_pauli_pairs((2,), {
         ((0, 0), (0, 0)): 1 - 3 * p / 4,
         ((1, 0), (1, 0)): p / 4,
         ((0, 1), (0, 1)): p / 4,
@@ -153,7 +153,7 @@ def test_fidelity_depolarizing():
 
 
 def test_fidelity_x_channel():
-    xch = LogicalSuperop((2,), {((1, 0), (1, 0)): 1.0 + 0j})
+    xch = LogicalSuperop.from_pauli_pairs((2,), {((1, 0), (1, 0)): 1.0 + 0j})
     assert average_gate_fidelity(xch) == pytest.approx(1 / 3, abs=1e-12)
 
 
@@ -169,14 +169,14 @@ def test_fidelity_affine_in_channel():
 
         e1, e2 = depol(p1), depol(p2)
         mix = {k: lam * e1.get(k, 0) + (1 - lam) * e2.get(k, 0) for k in set(e1) | set(e2)}
-        f_mix = average_gate_fidelity(LogicalSuperop((2,), mix))
-        f1 = average_gate_fidelity(LogicalSuperop((2,), e1))
-        f2 = average_gate_fidelity(LogicalSuperop((2,), e2))
+        f_mix = average_gate_fidelity(LogicalSuperop.from_pauli_pairs((2,), mix))
+        f1 = average_gate_fidelity(LogicalSuperop.from_pauli_pairs((2,), e1))
+        f2 = average_gate_fidelity(LogicalSuperop.from_pauli_pairs((2,), e2))
         assert f_mix == pytest.approx(lam * f1 + (1 - lam) * f2, abs=1e-12)
 
 
 def test_cptp_diagnostics_identity():
-    ident = LogicalSuperop((2,), {((0, 0), (0, 0)): 1.0 + 0j})
+    ident = LogicalSuperop.from_pauli_pairs((2,), {((0, 0), (0, 0)): 1.0 + 0j})
     tp, choi_min = cptp_diagnostics(ident)
     assert tp < 1e-14
     assert abs(choi_min) < 1e-14
