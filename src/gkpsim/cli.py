@@ -2,8 +2,8 @@
 oracle cross-checks, emitting CSV/JSON artifacts.
 
 Output is deterministic byte-for-byte for a fixed config: grid points are
-processed with a fixed summation order and merged in input order, and floats
-are printed with 17 significant digits.
+processed in input order with a fixed summation order, and floats are printed
+with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -128,7 +127,7 @@ SWEEP_COLUMNS = ["delta_db", "nbar_est", "noise_param", "avg_gate_infidelity",
                  "tp_defect", "min_choi_eig", "smax_residual", "is_baseline"]
 
 
-def cmd_sweep(cfg: dict, out, s_max=None, nodes=None, threads: int = 1):
+def cmd_sweep(cfg: dict, out, s_max=None, nodes=None):
     noise = cfg.get("noise", "envelope")
     deltas = cfg.get("delta_db", [10.0])
     params = cfg.get("noise_param", [0.0])
@@ -142,17 +141,7 @@ def cmd_sweep(cfg: dict, out, s_max=None, nodes=None, threads: int = 1):
     if "code" in cfg:
         code, cell = code_from_config(cfg["code"])
 
-    tasks = [(db, p) for db in deltas for p in params]
-
-    def run(task):
-        db, p = task
-        return sweep_point(noise, db, p, s_max, nodes, code, cell)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(t) for t in tasks]
+    rows = [sweep_point(noise, db, p, s_max, nodes, code, cell) for db in deltas for p in params]
     if include_baseline and noise != "envelope":
         rows.extend(baseline_point(noise, p) for p in params)
 
@@ -182,8 +171,7 @@ def cmd_bloch_trajectory(cfg: dict, out, s_max=None):
             rho = ch.apply(np.outer(psi, psi.conj()))
             rho = rho / np.trace(rho)
             r, inside = bloch_and_octahedron(rho)
-            vals = [db] + list(r)
-            out.write(",".join(_fmt(v) for v in vals) + "," + _fmt(inside) + "\n")
+            out.write(",".join([_fmt(db), name] + [_fmt(v) for v in r] + [_fmt(inside)]) + "\n")
 
 
 def cmd_lattice_report(cfg: dict, out):
@@ -272,7 +260,6 @@ def main(argv=None):
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument("--out", help="output path (default stdout)", default=None)
     parser.add_argument("--smax", type=int, default=None, help="truncation override")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--quadrature-nodes", type=int, default=None)
     args = parser.parse_args(argv)
 
@@ -283,7 +270,7 @@ def main(argv=None):
 
     def run(out):
         if args.command == "sweep":
-            cmd_sweep(cfg, out, args.smax, args.quadrature_nodes, args.threads)
+            cmd_sweep(cfg, out, args.smax, args.quadrature_nodes)
         elif args.command == "bloch-trajectory":
             cmd_bloch_trajectory(cfg, out, args.smax)
         elif args.command == "lattice-report":

@@ -41,43 +41,46 @@ def hermite_functions_upto(n_max: int, x):
     return out
 
 
-def _damped_combs(delta: float, cutoff: int, comb_window: int) -> np.ndarray:
+COMB_WINDOW = 30  # |s| bound of the codeword combs
+ZAK_COMB_WINDOW = 20  # |s| bound of the Zak-state combs in the decoder
+
+
+def _damped_combs(delta: float, cutoff: int) -> np.ndarray:
     """Rows mu = 0, 1: e^{-Delta^2 n} * sum_s psi_n(sqrt(pi) (2 s + mu)) for n < cutoff."""
-    s = np.arange(-comb_window, comb_window + 1)
+    s = np.arange(-COMB_WINDOW, COMB_WINDOW + 1)
     combs = [hermite_functions_upto(cutoff - 1, np.sqrt(np.pi) * (2 * s + mu)).sum(axis=1)
              for mu in (0, 1)]
     return np.exp(-delta ** 2 * np.arange(cutoff)) * np.array(combs)
 
 
-def build_approx_codeword(mu: int, delta: float, cutoff: int, comb_window: int = 30,
-                          tail_tol: float = 1e-12) -> np.ndarray:
+def build_approx_codeword(mu: int, delta: float, cutoff: int) -> np.ndarray:
     """Normalized Fock amplitudes of the approximate codeword e^{-Delta^2 n} |mu_bar>.
 
     c_n is proportional to e^{-Delta^2 n} * sum_s psi_n(sqrt(pi) (2 s + mu)).
-    Raises if the envelope tail beyond the cutoff is not negligible.
+    Raises if the envelope tail beyond the cutoff holds more than 1e-12 of the norm.
     """
     if mu not in (0, 1):
         raise ValueError("square qubit codewords have mu in {0, 1}")
-    amps = _damped_combs(delta, cutoff, comb_window)[mu]
+    amps = _damped_combs(delta, cutoff)[mu]
     norm = np.linalg.norm(amps)
     tail_mass = np.sum(np.abs(amps[-max(2, cutoff // 25):]) ** 2) / norm ** 2
-    if tail_mass > tail_tol:
+    if tail_mass > 1e-12:
         raise ValueError(f"cutoff {cutoff} too small: tail mass {tail_mass:.2e}")
     return amps / norm
 
 
-def codeword_gram(delta: float, cutoff: int, comb_window: int = 30) -> np.ndarray:
+def codeword_gram(delta: float, cutoff: int) -> np.ndarray:
     """Unnormalized Gram <mu| e^{-2 Delta^2 n} |nu> of the envelope-damped combs.
 
     Overall scale is arbitrary (ideal combs are non-normalizable); ratios are
     what the orthonormalization consumes.
     """
-    vecs = _damped_combs(delta, cutoff, comb_window)
+    vecs = _damped_combs(delta, cutoff)
     return (vecs @ vecs.T).astype(complex)
 
 
-def apply_loss(rho: np.ndarray, gamma: float, j_max: int = 40, tol: float = 1e-12) -> np.ndarray:
-    """Kraus sum of pure loss; raises if the truncated sum loses more trace than tol."""
+def apply_loss(rho: np.ndarray, gamma: float, j_max: int = 40) -> np.ndarray:
+    """Kraus sum of pure loss; raises if the truncated sum loses more than 1e-12 of the trace."""
     if gamma == 0:
         return rho.copy()
     if not 0 < gamma < 1:
@@ -94,16 +97,16 @@ def apply_loss(rho: np.ndarray, gamma: float, j_max: int = 40, tol: float = 1e-1
             k = a_op @ k * np.sqrt(ratio / j)
         out += k @ rho @ k.conj().T
     defect = abs(np.trace(out) - np.trace(rho))
-    if defect > tol * abs(np.trace(rho)):
+    if defect > 1e-12 * abs(np.trace(rho)):
         raise ValueError(f"loss Kraus sum not converged: trace defect {defect:.2e}")
     return out
 
 
-def apply_dephasing(rho: np.ndarray, sigma: float, nodes: int = 64) -> np.ndarray:
-    """Gauss-Hermite average of e^{i phi n} rho e^{-i phi n} over phi ~ N(0, sigma^2)."""
+def apply_dephasing(rho: np.ndarray, sigma: float) -> np.ndarray:
+    """64-node Gauss-Hermite average of e^{i phi n} rho e^{-i phi n} over phi ~ N(0, sigma^2)."""
     if sigma == 0:
         return rho.copy()
-    xs, ws = np.polynomial.hermite.hermgauss(nodes)
+    xs, ws = np.polynomial.hermite.hermgauss(64)
     cutoff = rho.shape[0]
     ns = np.arange(cutoff)
     out = np.zeros_like(rho, dtype=complex)
@@ -114,8 +117,7 @@ def apply_dephasing(rho: np.ndarray, sigma: float, nodes: int = 64) -> np.ndarra
     return out
 
 
-def zak_fock_overlap_table(code: GkpCode, k1_vals, k2_vals, n_max: int,
-                           comb_window: int = 20) -> np.ndarray:
+def zak_fock_overlap_table(code: GkpCode, k1_vals, k2_vals, n_max: int) -> np.ndarray:
     """<mu, k | n> for the square qubit code on a (k1, k2) grid.
 
     Returns an array of shape (2, len(k1), len(k2), n_max + 1).  The bra of
@@ -131,7 +133,7 @@ def zak_fock_overlap_table(code: GkpCode, k1_vals, k2_vals, n_max: int,
         raise ValueError("the Fock oracle supports the single-mode square qubit code")
     k1_vals = np.asarray(k1_vals, dtype=float)
     k2_vals = np.asarray(k2_vals, dtype=float)
-    ss = np.arange(-comb_window, comb_window + 1)
+    ss = np.arange(-ZAK_COMB_WINDOW, ZAK_COMB_WINDOW + 1)
     out = np.zeros((2, len(k1_vals), len(k2_vals), n_max + 1), dtype=complex)
     pref = (4 * np.pi) ** 0.25
     for mu in (0, 1):
@@ -147,15 +149,14 @@ def zak_fock_overlap_table(code: GkpCode, k1_vals, k2_vals, n_max: int,
     return out
 
 
-def ideal_decode_batch(rhos, code: GkpCode, grid: int = 64, comb_window: int = 20,
-                       check_convergence: bool = True, conv_tol: float = 1e-7):
+def ideal_decode_batch(rhos, code: GkpCode, grid: int = 64):
     """Partial-trace decode of several Fock density matrices over the square
     Voronoi cell, sharing one Zak-overlap table.
 
     For each rho: rho_L[mu, nu] = int_V dk <mu,k| rho |nu,k> on a tensor
     Gauss-Legendre grid, normalized to unit trace.  Returns (list of rho_L,
-    list of trace defects); raises if grid refinement moves any unnormalized
-    result by more than conv_tol.
+    list of trace defects); raises if refining the grid by half moves any
+    unnormalized result by more than 1e-7 (relative to max(1, its trace)).
     """
     rhos = [np.asarray(r, dtype=complex) for r in rhos]
     n_max = max(r.shape[0] for r in rhos) - 1
@@ -163,7 +164,7 @@ def ideal_decode_batch(rhos, code: GkpCode, grid: int = 64, comb_window: int = 2
     def run(m):
         x, w = np.polynomial.legendre.leggauss(m)
         half = 2 ** -1.5
-        tab = zak_fock_overlap_table(code, half * x, half * x, n_max, comb_window)
+        tab = zak_fock_overlap_table(code, half * x, half * x, n_max)
         wk = half * w
         outs = []
         for rho in rhos:
@@ -172,16 +173,13 @@ def ideal_decode_batch(rhos, code: GkpCode, grid: int = 64, comb_window: int = 2
             outs.append(np.einsum("aklm,bklm,k,l->ab", b, t.conj(), wk, wk))
         return outs
 
-    raws = run(grid)
-    if check_convergence:
-        raws2 = run(grid + grid // 2)
-        for raw, raw2 in zip(raws, raws2):
-            if np.max(np.abs(raw - raw2)) > conv_tol * max(1.0, abs(np.trace(raw2))):
-                raise ValueError(
-                    f"decode grid {grid} not converged: refinement moved the result by "
-                    f"{np.max(np.abs(raw - raw2)):.2e}"
-                )
-        raws = raws2
+    coarse, raws = run(grid), run(grid + grid // 2)
+    for raw, raw2 in zip(coarse, raws):
+        if np.max(np.abs(raw - raw2)) > 1e-7 * max(1.0, abs(np.trace(raw2))):
+            raise ValueError(
+                f"decode grid {grid} not converged: refinement moved the result by "
+                f"{np.max(np.abs(raw - raw2)):.2e}"
+            )
     outs, defects = [], []
     for rho, raw in zip(rhos, raws):
         tr = np.real(np.trace(raw))
@@ -190,16 +188,14 @@ def ideal_decode_batch(rhos, code: GkpCode, grid: int = 64, comb_window: int = 2
     return outs, defects
 
 
-def ideal_decode(rho: np.ndarray, code: GkpCode, grid: int = 64, comb_window: int = 20,
-                 check_convergence: bool = True, conv_tol: float = 1e-7):
+def ideal_decode(rho: np.ndarray, code: GkpCode, grid: int = 64):
     """Single-state variant of ideal_decode_batch; returns (rho_L, defect)."""
-    outs, defects = ideal_decode_batch([rho], code, grid, comb_window,
-                                       check_convergence, conv_tol)
+    outs, defects = ideal_decode_batch([rho], code, grid)
     return outs[0], defects[0]
 
 
-def orthonormalized_codewords(delta: float, cutoff: int, comb_window: int = 30):
+def orthonormalized_codewords(delta: float, cutoff: int):
     """Fock representations of the Loewdin-orthonormalized codeword pair."""
-    vecs = _damped_combs(delta, cutoff, comb_window)
+    vecs = _damped_combs(delta, cutoff)
     ortho = ortho_matrix_from_gram((vecs @ vecs.T).astype(complex))
     return ortho.c_matrix @ vecs, ortho

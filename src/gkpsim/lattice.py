@@ -74,10 +74,10 @@ class GkpCode:
         """lbar(s) = sum_J s_J mbar_J."""
         return self.dual_basis() @ np.asarray(s, dtype=float)
 
-    def dual_coefficients(self, v, tol: float = INTEGRALITY_TOL) -> np.ndarray:
+    def dual_coefficients(self, v) -> np.ndarray:
         """Integer coefficients s with lbar(s) = v; raises if v is not a dual vector."""
         s = np.linalg.solve(self.dual_basis(), np.asarray(v, dtype=float))
-        if not is_integral(s, tol):
+        if not is_integral(s, INTEGRALITY_TOL):
             raise ValueError(f"vector is not in the dual lattice (coefficients {s})")
         return np.round(s).astype(np.int64)
 
@@ -109,12 +109,13 @@ class GkpCode:
             return "I"
         return "".join(parts)
 
-    def check_lattice(self, tol: float = INTEGRALITY_TOL) -> bool:
+    def check_lattice(self) -> bool:
         """Lattice and dual-lattice symplectic integrality."""
         m = self.generator_matrix()
         om = omega(self.n_modes)
         mbar = self.dual_basis().T
-        return is_integral(m @ om @ m.T, tol) and is_integral(mbar @ om @ m.T, tol)
+        return (is_integral(m @ om @ m.T, INTEGRALITY_TOL)
+                and is_integral(mbar @ om @ m.T, INTEGRALITY_TOL))
 
 
 def square_code(d: int = 2, n: int = 1) -> GkpCode:
@@ -222,15 +223,15 @@ class VoronoiCell(PrimitiveCell):
 
     Nearest-point searches enumerate coefficient offsets in a window of
     +-radius around the rounded solution; radius 3 covers every lattice used
-    here (validated by a radius growth check in the tests).
+    here (validated by a radius growth check in the tests).  Squared
+    distances within 1e-12 of the minimum count as ties.
     """
 
-    def __init__(self, code: GkpCode, radius: int = 3, tie_tol: float = 1e-12):
+    def __init__(self, code: GkpCode, radius: int = 3):
         self.code = code
         self.basis = code.dual_basis()
         self.dim = self.basis.shape[0]
         self.radius = radius
-        self.tie_tol = tie_tol
         offs = np.array(
             list(itertools.product(range(-radius, radius + 1), repeat=self.dim)),
             dtype=np.int64,
@@ -246,7 +247,7 @@ class VoronoiCell(PrimitiveCell):
         cands = (self.basis @ s0) + self._offset_points
         d2 = np.sum((v[np.newaxis, :] - cands) ** 2, axis=1)
         best = np.min(d2)
-        idx = np.nonzero(d2 <= best + self.tie_tol)[0][0]
+        idx = np.nonzero(d2 <= best + 1e-12)[0][0]
         shift = cands[idx]
         return v - shift, shift
 
@@ -483,10 +484,11 @@ def shortest_error_length(code: GkpCode, cell: PrimitiveCell, which: str = "any"
     return best
 
 
-def is_cell_invariant(s_matrix, cell: PrimitiveCell, samples: int = 200, rng=None) -> bool:
-    """Decide S*P = P.  Exact for box and Voronoi cells, sampled otherwise."""
+def is_cell_invariant(s_matrix, cell: PrimitiveCell) -> bool:
+    """Decide S*P = P.  Exact for box and Voronoi cells, sampled otherwise
+    (200 seeded points, which also cross-check the exact answer)."""
     s = np.asarray(s_matrix, dtype=float)
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
 
     exact = None
     if isinstance(cell, BoxCell):
@@ -508,7 +510,7 @@ def is_cell_invariant(s_matrix, cell: PrimitiveCell, samples: int = 200, rng=Non
     # randomized membership cross-check (and the only decision for other cells)
     scale = 2.0 * np.max(np.abs(cell.remainder(rng.normal(size=cell.dim))[0])) + 1.0
     ok = True
-    for _ in range(samples):
+    for _ in range(200):
         v = rng.uniform(-scale, scale, size=cell.dim)
         rem, _ = cell.remainder(v)
         # strict interior points only: stay away from the boundary where the
@@ -524,14 +526,14 @@ def is_cell_invariant(s_matrix, cell: PrimitiveCell, samples: int = 200, rng=Non
     return ok
 
 
-def _same_point_set(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+def _same_point_set(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape != b.shape:
         return False
     used = np.zeros(len(b), dtype=bool)
     for p in a:
         d = np.linalg.norm(b - p, axis=1)
         idx = np.argmin(np.where(used, np.inf, d))
-        if d[idx] > tol:
+        if d[idx] > 1e-9:
             return False
         used[idx] = True
     return True

@@ -6,10 +6,11 @@ N(rho) = sum_{s,t} c_{s,t} P(s) rho P(t)^dag over a truncated dual-lattice
 window: box cells analytically (per-coordinate complex Gaussians via the
 complex error function), other bounded cells by tensor/triangle quadrature.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
-d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).  An mpmath
-backend with its own private precision covers the deeply squeezed regime
-where coefficients underflow double precision; chi is then an object array
-of mpmath numbers and the same metrics apply.
+d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).  Passing a
+digit count dps runs the box integrals in a private mpmath context at that
+precision, which covers the deeply squeezed regime where coefficients
+underflow double precision; chi is then an object array of mpmath numbers
+and the same metrics apply.
 """
 
 from __future__ import annotations
@@ -47,64 +48,19 @@ def complex_erf(z):
     return complex(scipy.special.erf(z))
 
 
-def _erf_diff_np(z1, z2):
-    """erf(z2) - erf(z1) without saturation loss for large same-sign real parts."""
-    z1, z2 = complex(z1), complex(z2)
-    if z1.real > 4.0 and z2.real > 4.0:
-        return complex(scipy.special.erfc(z1) - scipy.special.erfc(z2))
-    if z1.real < -4.0 and z2.real < -4.0:
-        return complex(scipy.special.erfc(-z2) - scipy.special.erfc(-z1))
-    return complex_erf(z2) - complex_erf(z1)
-
-
-def _erf_diff_mp(ctx, z1, z2):
-    if ctx.re(z1) > 4 and ctx.re(z2) > 4:
-        return ctx.erfc(z1) - ctx.erfc(z2)
-    if ctx.re(z1) < -4 and ctx.re(z2) < -4:
-        return ctx.erfc(-z2) - ctx.erfc(-z1)
-    return ctx.erf(z2) - ctx.erf(z1)
-
-
-class _NumpyBackend:
-    name = "numpy"
-    pi = np.pi
-
-    @staticmethod
-    def to_scalar(x):
-        return complex(x)
-
-    exp = staticmethod(lambda z: np.exp(complex(z)))
-    sqrt = staticmethod(lambda z: np.sqrt(complex(z)))
-    erf_diff = staticmethod(_erf_diff_np)
-
-
-class _MpmathBackend:
-    """mpmath scalars at dps digits in a private context; the global mp.mp is never touched."""
-
-    name = "mpmath"
-
-    def __init__(self, dps: int = 60):
-        self.dps = dps
-        self.ctx = mp.MPContext()
-        self.ctx.dps = dps
-        self.pi, self.exp, self.sqrt = self.ctx.pi, self.ctx.exp, self.ctx.sqrt
-
-    def to_scalar(self, x):
-        x = complex(x)
-        return self.ctx.mpc(x.real, x.imag)
-
-    def erf_diff(self, z1, z2):
-        return _erf_diff_mp(self.ctx, z1, z2)
-
-
-def get_backend(backend):
-    if backend in (None, "numpy", "float"):
-        return _NumpyBackend()
-    if backend == "mpmath":
-        return _MpmathBackend()
-    if isinstance(backend, (_NumpyBackend, _MpmathBackend)):
-        return backend
-    raise ValueError(f"unknown backend {backend!r}")
+def _erf_diff(ctx, z1, z2):
+    """erf(z2) - erf(z1) without saturation loss for large same-sign real parts,
+    in double precision (ctx None) or in the mpmath context ctx."""
+    if ctx is None:
+        z1, z2 = complex(z1), complex(z2)
+        erf, erfc = complex_erf, scipy.special.erfc
+    else:
+        erf, erfc = ctx.erf, ctx.erfc
+    if z1.real > 4 and z2.real > 4:
+        return erfc(z1) - erfc(z2)
+    if z1.real < -4 and z2.real < -4:
+        return erfc(-z2) - erfc(-z1)
+    return erf(z2) - erf(z1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,37 +117,37 @@ def _point_value(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell, s, 
     return kernel.amp if inside else 0.0
 
 
-def _gaussian_1d_parts(bk, q, b, lo, hi):
+def _gaussian_1d_parts(ctx, q, b, lo, hi):
     """(exponent, prefactor) with int_lo^hi exp(-q x^2 + b x) dx = prefactor * exp(exponent).
 
     Split so callers can sum exponents across coordinates before
     exponentiating; the factored form overflows double precision in the
     deeply squeezed regime even though the product is tiny.
     """
-    q = bk.to_scalar(q)
-    b = bk.to_scalar(b)
-    sq = bk.sqrt(q)
+    m, scalar = (np, complex) if ctx is None else (ctx, ctx.mpc)
+    q = scalar(q)
+    b = scalar(b)
+    sq = m.sqrt(q)
     center = b / (2 * q)
-    pref = (bk.sqrt(bk.pi) / (2 * sq)
-            * bk.erf_diff(sq * (bk.to_scalar(lo) - center), sq * (bk.to_scalar(hi) - center)))
+    pref = m.sqrt(m.pi) / (2 * sq) * _erf_diff(ctx, sq * (lo - center), sq * (hi - center))
     return b * b / (4 * q), pref
 
 
-def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t,
-                      backend=None):
-    """Exact integral of c_{s,t}(v, v) over a box cell.
+def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t, ctx=None):
+    """Exact integral of c_{s,t}(v, v) over a box cell, in double precision
+    (ctx None) or in the mpmath context ctx.
 
     Requires the diagonal-restricted quadratic form to be axis-diagonal (true
     for every isotropic single-mode kernel family here).  Delta-constrained
     kernels follow their density conventions: DIAG_DELTA contributes only for
     lbar(s) = lbar(t), POINT only when the point falls in the cell.
     """
-    bk = get_backend(backend)
+    m, scalar = (np, complex) if ctx is None else (ctx, ctx.mpc)
     if kernel.kind == POINT:
-        return bk.to_scalar(_point_value(kernel, code, cell, s, t))
+        return scalar(_point_value(kernel, code, cell, s, t))
     form = _diag_quadratic(kernel, code, s, t)
     if form is None:
-        return bk.to_scalar(0.0)
+        return scalar(0.0)
     qv, bv, const = form
     scale = max(1.0, float(np.max(np.abs(qv))))
     if np.max(np.abs(qv - np.diag(np.diag(qv)))) > 1e-10 * scale:
@@ -199,15 +155,15 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     diag = np.diag(qv)
     if np.any(diag.real >= 0):
         raise ValueError("diagonal-restricted form is not decaying; cell integral diverges")
-    exponent = bk.to_scalar(const)
-    pref = bk.to_scalar(kernel.amp)
+    exponent = scalar(const)
+    pref = scalar(kernel.amp)
     for i, (lo, hi) in enumerate(cell.intervals):
-        ex, pf = _gaussian_1d_parts(bk, -diag[i], bv[i], lo, hi)
+        ex, pf = _gaussian_1d_parts(ctx, -diag[i], bv[i], lo, hi)
         exponent = exponent + ex
         pref = pref * pf
-    if bk.name == "numpy" and exponent.real < -745.0:
+    if ctx is None and exponent.real < -745.0:
         return 0.0 + 0.0j  # value underflows double precision
-    return pref * bk.exp(exponent)
+    return pref * m.exp(exponent)
 
 
 def _cell_quadrature_points(cell: PrimitiveCell, order: int):
@@ -255,12 +211,12 @@ def _quadrature(amp, form, cell: PrimitiveCell, order: int) -> complex:
 
 
 def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell, s, t,
-                          order: int = 40, tol: float = 1e-9):
+                          order: int = 40):
     """Quadrature of c_{s,t}(v, v) over a bounded cell; returns (value, error_estimate).
 
-    The estimate compares two quadrature orders; if it exceeds tol a warning
-    is issued (never silently swallowed).  POINT kernels integrate exactly by
-    cell membership.
+    The estimate compares two quadrature orders; if it exceeds 1e-9 times
+    max(1, |value|) a warning is issued (never silently swallowed).  POINT
+    kernels integrate exactly by cell membership.
     """
     if kernel.kind == POINT:
         return complex(_point_value(kernel, code, cell, s, t)), 0.0
@@ -270,7 +226,7 @@ def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: Primitive
     v1 = _quadrature(kernel.amp, form, cell, order)
     v2 = _quadrature(kernel.amp, form, cell, order + order // 2)
     err = abs(v1 - v2)
-    if err > tol * max(1.0, abs(v2)):
+    if err > 1e-9 * max(1.0, abs(v2)):
         warnings.warn(f"cell quadrature not converged: estimate {err:.2e} at order {order}")
     return v2, err
 
@@ -406,15 +362,19 @@ class LogicalSuperop:
 # channel construction
 
 
-def _decay_precheck(cf: ChannelCharFn, code: GkpCode, s_max: int,
-                    probe_radius: int = 16, threshold: float = 1e-30):
+DECAY_THRESHOLD = 1e-30
+
+
+def _decay_precheck(cf: ChannelCharFn, code: GkpCode, s_max: int):
     """Reject channels whose kernel does not decay along the dual lattice.
 
     Probes |c| on a far shell (relative to |c(0,0)|) along each generator
     direction and on the diagonal (u = v), which is where loss acting on an
-    ideal codestate stays at constant modulus.
+    ideal codestate stays at constant modulus.  The shell lies at s = 16, or
+    at 4 (s_max + 1) when that is farther; a relative modulus above
+    DECAY_THRESHOLD there raises.
     """
-    r = max(probe_radius, 4 * (s_max + 1))
+    r = max(16, 4 * (s_max + 1))
     two_n = 2 * code.n_modes
     zero = np.zeros(two_n)
 
@@ -443,53 +403,57 @@ def _decay_precheck(cf: ChannelCharFn, code: GkpCode, s_max: int,
                 rel = val / ref
                 if rel > worst:
                     worst, worst_shell = rel, (tuple(s.tolist()), tag)
-    if worst > threshold:
+    if worst > DECAY_THRESHOLD:
         raise DecayViolationError(
             f"characteristic function does not decay: relative modulus {worst:.3e} on the "
-            f"{worst_shell[1]} shell s = {worst_shell[0]} exceeds {threshold:.1e}"
+            f"{worst_shell[1]} shell s = {worst_shell[0]} exceeds {DECAY_THRESHOLD:.1e}"
         )
 
 
 def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
-                        trunc: TruncationSpec = TruncationSpec(1), backend=None,
+                        trunc: TruncationSpec = TruncationSpec(1), dps: int | None = None,
                         quad_order: int = 40) -> dict:
     """Raw Pauli-pair coefficients {(s, t): c_{s,t}} over the truncation window:
     cell integrals of c_{s,t}(v, v), summed over the kernel terms.
 
-    Box cells integrate in closed form with the backend's scalars; other
-    cells by quadrature, in double precision only.
+    Box cells integrate in closed form, in double precision when dps is None
+    and otherwise in a private mpmath context at dps digits (the global
+    mp.mp is never touched); other cells by quadrature, in double precision
+    only.
     """
     window = trunc.window(2 * code.n_modes)
-    bk = get_backend(backend)
     use_box = isinstance(cell, BoxCell)
-    if bk.name == "mpmath" and not use_box:
-        raise ValueError("the mpmath backend integrates box cells only")
+    ctx = None
+    if dps is not None:
+        if not use_box:
+            raise ValueError("mpmath precision integrates box cells only")
+        ctx = mp.MPContext()
+        ctx.dps = dps
+    scalar = complex if ctx is None else ctx.mpc
     coeffs = {}
     for s in window:
         for t in window:
-            total = bk.to_scalar(0.0)
+            total = scalar(0.0)
             for w, kern in cf.terms:
                 if use_box:
-                    total = total + bk.to_scalar(w) * box_cell_integral(kern, code, cell, s, t, bk)
+                    val = box_cell_integral(kern, code, cell, s, t, ctx)
                 else:
                     val, _ = numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
-                    total = total + complex(w) * val
+                total = total + scalar(w) * val
             coeffs[(s, t)] = total
     return coeffs
 
 
 def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
-                    trunc: TruncationSpec = TruncationSpec(1), backend=None,
-                    quad_order: int = 40, decay_threshold: float = 1e-30,
-                    probe_radius: int = 16) -> LogicalSuperop:
+                    trunc: TruncationSpec = TruncationSpec(1), dps: int | None = None,
+                    quad_order: int = 40) -> LogicalSuperop:
     """Logical noise channel of cf on the code/cell decoder: decay precheck,
-    window coefficients, then the fold into chi (fixed, sorted summation
-    order for reproducibility)."""
-    _decay_precheck(cf, code, trunc.s_max, probe_radius, decay_threshold)
-    bk = get_backend(backend)
+    window coefficients (in double precision, or at dps digits), then the
+    fold into chi (fixed, sorted summation order for reproducibility)."""
+    _decay_precheck(cf, code, trunc.s_max)
     ch = LogicalSuperop.from_pauli_pairs(
-        code.dims, window_coefficients(code, cell, cf, trunc, bk, quad_order))
-    ch.meta = {"s_max": trunc.s_max, "backend": bk.name}
+        code.dims, window_coefficients(code, cell, cf, trunc, dps, quad_order))
+    ch.meta = {"s_max": trunc.s_max, "dps": dps}
     return ch
 
 
@@ -497,13 +461,13 @@ def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
 # high-precision channel analysis (deep-squeezing regime)
 
 
-def suggest_dps(delta: float, margin: int = 60) -> int:
+def suggest_dps(delta: float) -> int:
     """Working precision that resolves the envelope-channel infidelity at Delta.
 
     The smallest structural scale is exp(-pi/(4 Delta^2)), i.e. about
-    0.341/Delta^2 decimal digits below unity.
+    0.341/Delta^2 decimal digits below unity; 60 more digits are kept as margin.
     """
-    return int(0.35 / delta ** 2) + margin
+    return int(0.35 / delta ** 2) + 60
 
 
 def highprec_channel_analysis(cf: ChannelCharFn, code: GkpCode, cell: BoxCell,
@@ -512,9 +476,9 @@ def highprec_channel_analysis(cf: ChannelCharFn, code: GkpCode, cell: BoxCell,
     """Orthonormalized logical-channel metrics computed in arbitrary precision.
 
     The float pipeline (logical_channel, Loewdin orthonormalization, fidelity
-    and CPTP metrics) with the mpmath backend at dps digits in a private
-    context.  Returns {"infidelity", "fidelity", "tp_defect", "min_choi_eig",
-    "gram"} as mpmath numbers (gram as an object ndarray).  Single-mode qubit
+    and CPTP metrics) at dps digits in a private mpmath context.  Returns
+    {"infidelity", "fidelity", "tp_defect", "min_choi_eig", "gram"} as
+    mpmath numbers (gram as an object ndarray).  Single-mode qubit
     codes on box cells only; kernels are composed in double precision (their
     parameters are O(1/Delta^2) and well conditioned), every erf difference
     and everything after it at dps digits.
@@ -529,7 +493,7 @@ def highprec_channel_analysis(cf: ChannelCharFn, code: GkpCode, cell: BoxCell,
 
     if code.dims != (2,) or not isinstance(cell, BoxCell):
         raise ValueError("high-precision analysis supports single-mode qubit codes on box cells")
-    ch = logical_channel(code, cell, cf, trunc, backend=_MpmathBackend(dps))
+    ch = logical_channel(code, cell, cf, trunc, dps=dps)
     gram = gram_from_channel(ch)
     _, och = lowdin_orthonormalize(ch, ortho_matrix_from_gram(gram))
     fidelity = average_gate_fidelity(och, warn=False)

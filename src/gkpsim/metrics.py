@@ -60,13 +60,12 @@ def gram_from_channel(channel: LogicalSuperop) -> np.ndarray:
     return basis.conj().reshape(m * d, d).T @ weighted.reshape(m * d, d)
 
 
-def ortho_matrix_from_gram(g: np.ndarray, phase_floor: float = 0.0) -> OrthoMatrix:
+def ortho_matrix_from_gram(g: np.ndarray) -> OrthoMatrix:
     """Symmetric (Loewdin) orthonormalization matrix of two nearly orthogonal codewords.
 
     Normalizes each codeword, then applies the inverse square root of the
     normalized Gram.  The phase e^{i phi} is overlap / |overlap|, and 1 when
-    the normalized overlap |overlap| / (n0 n1) is at most phase_floor (by
-    default: when the overlap vanishes).  Works on float and mpmath Grams.
+    the overlap vanishes.  Works on float and mpmath Grams.
     """
     if g.shape != (2, 2):
         raise ValueError("orthonormalization is defined for qubit codes")
@@ -78,7 +77,7 @@ def ortho_matrix_from_gram(g: np.ndarray, phase_floor: float = 0.0) -> OrthoMatr
     r = abs(overlap) / (n0 * n1)
     if r >= 1:
         raise ValueError("degenerate codewords: normalized overlap >= 1")
-    phase = overlap / abs(overlap) if r > phase_floor else 1
+    phase = overlap / abs(overlap) if r > 0 else 1
     r_plus = (1 + r) ** -0.5 + (1 - r) ** -0.5
     r_minus = (1 + r) ** -0.5 - (1 - r) ** -0.5
     c = np.array([
@@ -107,18 +106,17 @@ def _tp_defect(channel: LogicalSuperop):
     return np.max(np.abs(gram_from_channel(channel) - np.eye(channel.d_total)))
 
 
-def average_gate_fidelity(channel: LogicalSuperop, tp_tol: float = 1e-6,
-                          warn: bool = True):
+def average_gate_fidelity(channel: LogicalSuperop, warn: bool = True):
     """Average gate fidelity F = (d F_e + 1)/(d + 1), with the entanglement
     fidelity F_e = chi[0, 0] (the identity's entry).
 
     Warns (and still reports the raw value) if the channel is not trace
-    preserving to tp_tol.
+    preserving to 1e-6.
     """
     d = channel.d_total
     if warn:
         defect = _tp_defect(channel)
-        if defect > tp_tol:
+        if defect > 1e-6:
             warnings.warn(f"channel is not TP (defect {float(defect):.2e}); fidelity is raw")
     return ((d * channel.chi[0, 0] + 1) / (d + 1)).real
 
@@ -176,13 +174,13 @@ def fock_qubit_baseline(noise: str, param: float) -> LogicalSuperop:
 # Bloch sphere
 
 
-def bloch_and_octahedron(rho: np.ndarray, trace_tol: float = 1e-9):
+def bloch_and_octahedron(rho: np.ndarray):
     """Bloch vector (r_x, r_y, r_z) of a qubit state and stabilizer-octahedron
-    membership |r_x| + |r_y| + |r_z| <= 1."""
+    membership |r_x| + |r_y| + |r_z| <= 1; rho must have unit trace to 1e-9."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError("expected a 2x2 density matrix")
-    if abs(np.trace(rho) - 1) > trace_tol:
+    if abs(np.trace(rho) - 1) > 1e-9:
         raise ValueError(f"density matrix must have unit trace, got {np.trace(rho)}")
     sx = np.array([[0, 1], [1, 0]])
     sy = np.array([[0, -1j], [1j, 0]])

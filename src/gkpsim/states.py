@@ -53,10 +53,11 @@ class SubsystemKet:
         return total
 
 
-def _group_by_k(terms, tol: float = 1e-9):
+def _group_by_k(terms):
+    """Terms keyed by k rounded to a 1e-9 grid."""
     groups = {}
     for t in terms:
-        key = tuple(np.round(np.asarray(t.k) / tol).astype(np.int64))
+        key = tuple(np.round(np.asarray(t.k) / 1e-9).astype(np.int64))
         groups.setdefault(key, []).append(t)
     return groups
 
@@ -84,8 +85,8 @@ def zak_position_amplitudes(k1: float, k2: float, a: float, window: int = 10):
 # wavefunction decomposition
 
 
-def decompose_wavefunction(psi, params: DecompositionParams, k_grid, window: int = 12,
-                           tail_tol: float = 1e-10) -> SubsystemKet:
+def decompose_wavefunction(psi, params: DecompositionParams, k_grid,
+                           window: int = 12) -> SubsystemKet:
     """Sample <mu, k | phi> on a k-grid from the position wavefunction of phi.
 
     psi: callable x -> complex amplitude, where x is a scalar (n = 1) or an
@@ -97,7 +98,7 @@ def decompose_wavefunction(psi, params: DecompositionParams, k_grid, window: int
 
     The comb sum over s is truncated at +-window per mode; the largest
     magnitude on the outermost shell is the reported tail bound, and a
-    tail_tol violation raises.
+    bound above 1e-10 raises.
     """
     code = params.code
     n = code.n_modes
@@ -128,8 +129,8 @@ def decompose_wavefunction(psi, params: DecompositionParams, k_grid, window: int
             amp = (pref * np.exp(-1j * np.pi * (lbar_mu @ om @ k))
                    * np.exp(-1j * np.pi * (ktq @ ktp)) * comb)
             terms.append(KetTerm(tuple(mu), k, amp, weight))
-    if tail > tail_tol:
-        raise ValueError(f"comb tail bound {tail:.2e} exceeds {tail_tol:.1e}; "
+    if tail > 1e-10:
+        raise ValueError(f"comb tail bound {tail:.2e} exceeds 1.0e-10; "
                          "enlarge the window or supply a decaying wavefunction")
     return SubsystemKet(params, terms)
 
@@ -157,11 +158,11 @@ def position_gaussian_wavefunction(x0: float, width: float):
     return lambda x: (np.pi * width ** 2) ** -0.25 * np.exp(-((x - x0) ** 2) / (2 * width ** 2))
 
 
-def approximate_codeword_wavefunction(mu: int, delta: float, window: int = 12):
+def approximate_codeword_wavefunction(mu: int, delta: float):
     """Position wavefunction of e^{-Delta^2 n} |mu_bar> (square qubit code),
-    via the Mehler kernel summed over the ideal comb; normalized."""
+    via the Mehler kernel summed over the ideal comb |s| <= 12; normalized."""
     q = np.exp(-delta ** 2)
-    peaks = np.sqrt(np.pi) * (2 * np.arange(-window, window + 1) + mu)
+    peaks = np.sqrt(np.pi) * (2 * np.arange(-12, 13) + mu)
 
     def kernel(x):
         x = np.asarray(x, dtype=float)
@@ -179,7 +180,7 @@ def approximate_codeword_wavefunction(mu: int, delta: float, window: int = 12):
     return psi
 
 
-def wavefunction_from_table(path_or_array, kind: str = "cubic"):
+def wavefunction_from_table(path_or_array):
     """Ingest a sampled wavefunction as columns (x, re, im) with cubic interpolation."""
     from scipy.interpolate import CubicSpline
 

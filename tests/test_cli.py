@@ -1,10 +1,11 @@
-"""`gkpsim` subcommands driven through cli.main on tiny configs, against
-values printed by the code before the chi representation replaced the
-Pauli-pair dict.
+"""`gkpsim` subcommands driven through cli.main on tiny configs.  The sweep
+and Bloch values were printed by the code before the chi representation
+replaced the Pauli-pair dict (the Bloch state column was added later); the
+JSON reports by the code before precision became a digit count.
 
-Float columns agree to 1e-9 relative, with an absolute floor for values that
+Float values agree to 1e-9 relative, with an absolute floor for values that
 are rounding noise (trace defects, Choi eigenvalues and Bloch components
-near 1e-16 and below).  smax_residual divides a difference of two
+near 1e-16 and below, zeros of the lattice matrices).  smax_residual divides a difference of two
 fidelities by the infidelity, so its rounding floor is 1e-15 / infidelity.
 High-precision rows (above 25 dB) must reproduce every printed digit of the
 infidelity; their tp_defect and min_choi_eig sit at the working-precision
@@ -14,6 +15,7 @@ noise level (about 1e-200 at 26 dB), so only their size is checked.
 import json
 
 import mpmath as mp
+import pytest
 
 from gkpsim import cli
 
@@ -35,14 +37,35 @@ nan,0.5,0.01,0.0033375209644600501,2.2204460492503131e-16,-2.4271202147905364e-1
 
 BLOCH = """\
 delta_db,state,r_x,r_y,r_z,inside_octahedron
-6,0.076286387972294589,3.9565019661571786e-20,0.97628137988172936,0
-6,0.086206448483599207,-4.6648337282991314e-20,-0.97491446829358452,0
-6,0.97628137988172914,5.9285994870933139e-18,0.0762863879722947,0
-6,-0.97491446829358475,-6.9899954771995583e-18,0.086206448483599263,0
-10,0.0007558001252043297,-5.9931632967035174e-24,0.99985322930001552,0
-10,0.00075676214184030774,-3.6013416612327759e-24,-0.99985315986070344,0
-10,0.99985322930001563,5.5251203605388047e-20,0.00075580012520437556,0
-10,-0.99985315986070344,-5.5344449725646664e-20,0.00075676214184033919,0
+6,0,0.076286387972294589,3.9565019661571786e-20,0.97628137988172936,0
+6,1,0.086206448483599207,-4.6648337282991314e-20,-0.97491446829358452,0
+6,+,0.97628137988172914,5.9285994870933139e-18,0.0762863879722947,0
+6,-,-0.97491446829358475,-6.9899954771995583e-18,0.086206448483599263,0
+10,0,0.0007558001252043297,-5.9931632967035174e-24,0.99985322930001552,0
+10,1,0.00075676214184030774,-3.6013416612327759e-24,-0.99985315986070344,0
+10,+,0.99985322930001563,5.5251203605388047e-20,0.00075580012520437556,0
+10,-,-0.99985315986070344,-5.5344449725646664e-20,0.00075676214184033919,0
+"""
+
+HEX_CODE = {"name": "hexagonal", "cell": {"voronoi": {}}}
+
+HEX_REPORT = """\
+{"dims": [2], "sigma": [[1.074569931823542, -0.537284965911771], [0.0, 0.9306048591020997]],
+ "shortest_error_lengths": {"any": 0.37991784282579627, "X": 0.37991784282579627,
+                            "Z": 0.37991784282579627}}
+"""
+
+REPETITION_REPORT = """\
+{"dims": [2, 1, 1],
+ "sigma": [[0.7598356856515925, 0.0, 0.0, 0.0, 0.0, 0.0],
+           [0.7598356856515925, 1.074569931823542, 0.0, 0.0, 0.0, 0.0],
+           [0.7598356856515925, 0.0, 1.074569931823542, 0.0, 0.0, 0.0],
+           [0.0, 0.0, 0.0, 1.3160740129524924, -0.9306048591020996, -0.9306048591020996],
+           [0.0, 0.0, 0.0, 0.0, 0.9306048591020996, 0.0],
+           [0.0, 0.0, 0.0, 0.0, 0.0, 0.9306048591020996]],
+ "shortest_error_lengths": {"any": 0.4653024295510497, "X": 0.4653024295510497,
+                            "Z": 0.4653024295510497},
+ "symmetric_cell_X": 0.3799178428257962}
 """
 
 
@@ -57,6 +80,21 @@ def _run(tmp_path, command, cfg, *extra):
 def _rows(csv_text):
     lines = csv_text.splitlines()
     return lines[0].split(","), [[mp.mpf(v) for v in line.split(",")] for line in lines[1:]]
+
+
+def _assert_json_close(got, want):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            _assert_json_close(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_json_close(g, w)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=REL, abs=NOISE)
+    else:
+        assert got == want
 
 
 def _assert_sweep_close(got_text, want_text):
@@ -95,23 +133,41 @@ def test_sweep_loss_with_baseline(tmp_path):
 
 
 def test_bloch_trajectory(tmp_path):
-    got = _run(tmp_path, "bloch-trajectory", {"delta_db": [6, 10], "smax": 1})
-    got_header, got_rows = _rows(got)
-    want_header, want_rows = _rows(BLOCH)
-    assert got_header == want_header
-    assert len(got_rows) == len(want_rows)
-    for g, w in zip(got_rows, want_rows):
-        assert len(g) == len(w)
-        for a, b in zip(g, w):
-            assert abs(a - b) <= REL * abs(b) + NOISE
+    got = _run(tmp_path, "bloch-trajectory", {"delta_db": [6, 10], "smax": 1}).splitlines()
+    want = BLOCH.splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for g, w in zip(got[1:], want[1:]):
+        g, w = g.split(","), w.split(",")
+        assert len(g) == len(w) == 6
+        assert g[1] == w[1]  # the state name, text
+        for a, b in zip(g[:1] + g[2:], w[:1] + w[2:]):
+            assert abs(mp.mpf(a) - mp.mpf(b)) <= REL * abs(mp.mpf(b)) + NOISE
 
 
-def test_sweep_threads_are_byte_identical(tmp_path):
-    # a float row and an mpmath row run side by side: the mpmath row keeps
-    # its precision in a private context, so neither row changes the other
-    before = mp.mp.dps
-    cfg = {"noise": "envelope", "delta_db": [10, 26], "noise_param": [0.0]}
-    serial = _run(tmp_path, "sweep", cfg, "--smax", "0", "--threads", "1")
-    parallel = _run(tmp_path, "sweep", cfg, "--smax", "0", "--threads", "2")
-    assert parallel == serial
-    assert mp.mp.dps == before
+@pytest.mark.parametrize("cfg, want", [
+    ({"code": HEX_CODE}, HEX_REPORT),
+    ({"code": {"name": "repetition", "params": {"n": 3}, "cell": {"voronoi": {"radius": 2}}},
+      "symmetric_cell": True}, REPETITION_REPORT),
+])
+def test_lattice_report(tmp_path, cfg, want):
+    _assert_json_close(json.loads(_run(tmp_path, "lattice-report", cfg)), json.loads(want))
+
+
+@pytest.mark.parametrize("code, verdicts", [
+    ({"name": "square", "cell": {"voronoi": {}}}, {"H": True, "S": False, "R": False}),
+    (HEX_CODE, {"H": False, "S": False, "R": True}),
+])
+def test_clifford_check(tmp_path, code, verdicts):
+    got = json.loads(_run(tmp_path, "clifford-check", {"code": code}))
+    assert got == {"code": code, "cell_invariant": verdicts}
+
+
+def test_oracle_check(tmp_path):
+    # the Fock oracle and the chi pipeline agree to 5.4e-11 here; grid 12
+    # still passes the decoder's own refinement check against grid 18
+    cfg = {"delta_db": [8], "gamma": [0.0, 0.01], "cutoff": 120, "grid": 12}
+    got = json.loads(_run(tmp_path, "oracle-check", cfg))
+    assert [(r["delta_db"], r["gamma"]) for r in got["results"]] == [(8, 0.0), (8, 0.01)]
+    assert got["max_trace_distance"] == max(r["max_trace_distance"] for r in got["results"])
+    assert got["max_trace_distance"] < 1e-8

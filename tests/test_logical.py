@@ -19,7 +19,6 @@ from gkpsim.logical import (
     DecayViolationError,
     LogicalSuperop,
     TruncationSpec,
-    _MpmathBackend,
     box_cell_integral,
     complex_erf,
     highprec_channel_analysis,
@@ -299,10 +298,10 @@ def test_highprec_leaves_global_precision_alone():
 
 
 def test_mpmath_backend_channel_runs_at_its_precision():
-    # at 20 dB the infidelity (~1e-34) is lost in double precision; the
-    # backend's 60 digits resolve it through the shared float metrics
+    # at 20 dB the infidelity (~1e-34) is lost in double precision; 60
+    # digits resolve it through the shared float metrics
     delta = 10 ** (-20 / 20)
-    ch = logical_channel(SQ, CELL, envelope_charfun(delta), TruncationSpec(1), backend="mpmath")
+    ch = logical_channel(SQ, CELL, envelope_charfun(delta), TruncationSpec(1), dps=60)
     assert ch.chi.dtype == object
     _, och = lowdin_orthonormalize(ch)
     infid = 1 - average_gate_fidelity(och, warn=False)
@@ -317,7 +316,7 @@ def test_mpmath_backend_channel_runs_at_its_precision():
 def test_mpmath_backend_refuses_quadrature_cells():
     with pytest.raises(ValueError, match="box cells"):
         logical_channel(SQ, VoronoiCell(SQ), envelope_charfun(0.5), TruncationSpec(0),
-                        backend=_MpmathBackend(30))
+                        dps=30)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +371,19 @@ def test_hermitian_pairs_give_hermitian_chi(case):
     dims, coeffs = case
     chi = LogicalSuperop.from_pauli_pairs(dims, coeffs).chi
     assert np.max(np.abs(chi - chi.conj().T)) < 1e-14
+
+
+@pytest.mark.parametrize("noise", ["envelope", "loss", "displacement"])
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(st.floats(10, 14))
+def test_chi_does_not_depend_on_s_once_converged(noise, delta_db):
+    # from 10 dB on, the S = 3 shell moves no chi entry by more than 1e-20
+    # of itself; at 8 dB the smallest entries (~1e-28) still move by 1e-9
+    env = envelope_charfun(10 ** (-delta_db / 20))
+    cf = {"envelope": env, "loss": compose(loss_charfun(0.01), env),
+          "displacement": compose(random_displacement_charfun(0.1), env)}[noise]
+    chi2, chi3 = (logical_channel(SQ, CELL, cf, TruncationSpec(s)).chi for s in (2, 3))
+    assert np.all(np.abs(chi2 - chi3) <= 1e-12 * np.abs(chi3))
 
 
 @settings(derandomize=True, deadline=None, max_examples=5)
