@@ -11,7 +11,6 @@ square; no numerical integration is involved.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,40 +101,6 @@ class ChannelCharFn:
     @classmethod
     def single(cls, kernel: GaussianKernel) -> "ChannelCharFn":
         return cls(kernel.n_modes, [(1.0 + 0j, kernel)])
-
-    def to_dict(self) -> dict:
-        out = {"n_modes": self.n_modes, "terms": []}
-        for w, k in self.terms:
-            out["terms"].append({
-                "weight": [w.real, w.imag] if isinstance(w, complex) else [float(w), 0.0],
-                "kind": k.kind,
-                "amp": [complex(k.amp).real, complex(k.amp).imag],
-                "q_re": np.real(k.q_matrix).tolist(),
-                "q_im": np.imag(k.q_matrix).tolist(),
-                "linear_re": np.real(k.linear).tolist(),
-                "linear_im": np.imag(k.linear).tolist(),
-            })
-        if self.quadrature is not None:
-            out["quadrature"] = {key: list(map(float, val)) for key, val in self.quadrature.items()}
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelCharFn":
-        terms = []
-        for t in data["terms"]:
-            q = np.array(t["q_re"]) + 1j * np.array(t["q_im"])
-            lin = np.array(t["linear_re"]) + 1j * np.array(t["linear_im"])
-            k = GaussianKernel(data["n_modes"], t["amp"][0] + 1j * t["amp"][1], q, lin, t["kind"])
-            terms.append((t["weight"][0] + 1j * t["weight"][1], k))
-        quad = data.get("quadrature")
-        return cls(data["n_modes"], terms, quad)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelCharFn":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +394,8 @@ def trace_preservation_defect(cf: ChannelCharFn) -> float:
         return abs(w * k.amp - 1.0)
     if k.kind == DIAG_DELTA:
         # total probability of the classical displacement density
-        a = -k.q_matrix
-        val = w * k.amp * np.pi ** n / sqrt_det_rhp(a) * np.exp(0.25 * k.linear @ np.linalg.inv(a) @ k.linear)
-        return abs(val - 1.0)
+        total = _integrate_out(k, w * k.amp, k.q_matrix, np.zeros((n2, n2)), k.linear, DIAG_DELTA).amp
+        return abs(total - 1.0)
     om = omega(n)
     j = np.vstack([np.eye(n2), np.eye(n2)])
     e_u = np.vstack([np.eye(n2), np.zeros((n2, n2))])
@@ -460,44 +424,29 @@ def transform_gaussian_state(cf: ChannelCharFn, mu, v_cov):
     n2 = 2 * n
     om = omega(n)
     # state kernel: c_rho(y) = exp(-pi y^T (Om V Om^T) y - i pi (Om mu)^T y)
-    q_rho = -np.pi * om @ v_cov @ om.T + 0j
-    l_rho = -1j * np.pi * om @ mu
-    amp_acc = 0.0
-    q_acc = None
-    l_acc = None
+    rho = GaussianKernel(n, 1.0, -np.pi * om @ v_cov @ om.T, -1j * np.pi * om @ mu, kind=OPERATOR)
+    outs = []
     for w, k in cf.terms:
-        if k.kind == DIAG_DELTA:
+        if k.kind == POINT:
+            outs.append(GaussianKernel(n, w * k.amp, rho.q_matrix, rho.linear, kind=OPERATOR))
+        elif k.kind == DIAG_DELTA:
             # classical displacement noise multiplies c_rho by the Fourier
             # transform of the displacement density f:
             # c_out(x) = c_rho(x) * int dy f(y) e^{-2 i pi y^T Om x}
-            a = -k.q_matrix
-            a_inv = np.linalg.inv(a)
-            pref = w * k.amp * np.pi ** n / sqrt_det_rhp(a) * np.exp(0.25 * k.linear @ a_inv @ k.linear)
-            q_term = q_rho - np.pi ** 2 * om @ a_inv @ om.T
-            l_term = l_rho + 1j * np.pi * om @ a_inv @ k.linear
-            amp_term = pref
-        elif k.kind == POINT:
-            q_term, l_term, amp_term = q_rho, l_rho, w * k.amp
+            outs.append(_integrate_out(rho, w * k.amp, k.q_matrix, -2j * np.pi * om, k.linear, OPERATOR))
         else:
             # c_out(x) = int du dv c(u,v) e^{i pi x^T Om v} e^{i pi (x+v)^T Om u} c_rho(x + v - u):
             # Gaussian integral over z = (u, v) with c_rho argument x + G z, G = [-I, I]
             g = np.hstack([-np.eye(n2), np.eye(n2)])
             cross = np.block([[np.zeros((n2, n2)), 0.5j * np.pi * om.T],
                               [0.5j * np.pi * om, np.zeros((n2, n2))]])  # i pi v^T Om u
-            a = k.q_matrix + g.T @ q_rho @ g + cross
-            b_x = 2 * g.T @ q_rho + np.vstack([1j * np.pi * om.T, 1j * np.pi * om.T])
-            b0 = k.linear + g.T @ l_rho
-            a_inv = np.linalg.inv(a)
-            q_term = q_rho - 0.25 * b_x.T @ a_inv @ b_x
-            l_term = l_rho - 0.5 * b_x.T @ a_inv @ b0
-            amp_term = w * k.amp * np.pi ** n2 / sqrt_det_rhp(-a) * np.exp(-0.25 * b0 @ a_inv @ b0)
-        if q_acc is None:
-            q_acc, l_acc, amp_acc = q_term, l_term, amp_term
-        else:
-            if np.max(np.abs(q_term - q_acc)) > 1e-9 or np.max(np.abs(l_term - l_acc)) > 1e-9:
-                raise ValueError("multi-term channel is not Gaussian; cannot extract moments")
-            amp_acc += amp_term
-    q_acc = (q_acc + q_acc.T) / 2
+            b_x = 2 * g.T @ rho.q_matrix + np.vstack([1j * np.pi * om.T, 1j * np.pi * om.T])
+            outs.append(_integrate_out(rho, w * k.amp, k.q_matrix + g.T @ rho.q_matrix @ g + cross,
+                                       b_x, k.linear + g.T @ rho.linear, OPERATOR))
+    q_acc, l_acc = outs[0].q_matrix, outs[0].linear
+    for out in outs[1:]:
+        if np.max(np.abs(out.q_matrix - q_acc)) > 1e-9 or np.max(np.abs(out.linear - l_acc)) > 1e-9:
+            raise ValueError("multi-term channel is not Gaussian; cannot extract moments")
     v_out = np.real(-om.T @ q_acc @ om / np.pi)
     mu_out = np.real(1j * (om.T @ l_acc) / np.pi)
-    return mu_out, v_out, amp_acc
+    return mu_out, v_out, sum(out.amp for out in outs)

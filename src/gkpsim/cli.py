@@ -127,12 +127,12 @@ SWEEP_COLUMNS = ["delta_db", "nbar_est", "noise_param", "avg_gate_infidelity",
                  "tp_defect", "min_choi_eig", "smax_residual", "is_baseline"]
 
 
-def cmd_sweep(cfg: dict, out, s_max=None, nodes=None):
+def cmd_sweep(cfg: dict, out):
     noise = cfg.get("noise", "envelope")
     deltas = cfg.get("delta_db", [10.0])
     params = cfg.get("noise_param", [0.0])
-    s_max = int(cfg.get("smax", 1)) if s_max is None else s_max
-    nodes = int(cfg.get("quadrature_nodes", 64)) if nodes is None else nodes
+    s_max = int(cfg.get("smax", 1))
+    nodes = int(cfg.get("quadrature_nodes", 64))
     include_baseline = bool(cfg.get("baseline", False))
     if not deltas or not params:
         raise ValueError("delta_db and noise_param grids must be nonempty")
@@ -150,9 +150,9 @@ def cmd_sweep(cfg: dict, out, s_max=None, nodes=None):
         out.write(",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) + "\n")
 
 
-def cmd_bloch_trajectory(cfg: dict, out, s_max=None):
+def cmd_bloch_trajectory(cfg: dict, out):
     deltas = cfg.get("delta_db", [4, 6, 8, 10, 14, 20, 30])
-    s_max = int(cfg.get("smax", 4)) if s_max is None else s_max
+    s_max = int(cfg.get("smax", 4))
     code = square_code()
     cell = voronoi_box(code)
     states = {
@@ -210,14 +210,14 @@ def cmd_clifford_check(cfg: dict, out):
     out.write("\n")
 
 
-def cmd_oracle_check(cfg: dict, out, s_max=None):
+def cmd_oracle_check(cfg: dict, out):
     from .fock import apply_loss, ideal_decode, orthonormalized_codewords
 
     deltas = cfg.get("delta_db", [8])
     gammas = cfg.get("gamma", [0.0, 0.01])
     cutoff = int(cfg.get("cutoff", 160))
     grid = int(cfg.get("grid", 48))
-    s_max = int(cfg.get("smax", 2)) if s_max is None else s_max
+    s_max = int(cfg.get("smax", 2))
     code = square_code()
     cell = voronoi_box(code)
     basis = {
@@ -251,16 +251,20 @@ def cmd_oracle_check(cfg: dict, out, s_max=None):
 
 
 def main(argv=None):
+    commands = {
+        "sweep": cmd_sweep,
+        "bloch-trajectory": cmd_bloch_trajectory,
+        "lattice-report": cmd_lattice_report,
+        "clifford-check": cmd_clifford_check,
+        "oracle-check": cmd_oracle_check,
+    }
     parser = argparse.ArgumentParser(
         prog="gkpsim",
         description="GKP logical-noise sweeps and lattice reports",
     )
-    parser.add_argument("command", choices=["sweep", "bloch-trajectory", "lattice-report",
-                                            "clifford-check", "oracle-check"])
+    parser.add_argument("command", choices=list(commands))
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument("--out", help="output path (default stdout)", default=None)
-    parser.add_argument("--smax", type=int, default=None, help="truncation override")
-    parser.add_argument("--quadrature-nodes", type=int, default=None)
     args = parser.parse_args(argv)
 
     cfg = {}
@@ -268,23 +272,12 @@ def main(argv=None):
         with open(args.config) as fh:
             cfg = json.load(fh)
 
-    def run(out):
-        if args.command == "sweep":
-            cmd_sweep(cfg, out, args.smax, args.quadrature_nodes)
-        elif args.command == "bloch-trajectory":
-            cmd_bloch_trajectory(cfg, out, args.smax)
-        elif args.command == "lattice-report":
-            cmd_lattice_report(cfg, out)
-        elif args.command == "clifford-check":
-            cmd_clifford_check(cfg, out)
-        elif args.command == "oracle-check":
-            cmd_oracle_check(cfg, out, args.smax)
-
+    command = commands[args.command]
     if args.out:
         with open(args.out, "w") as fh:
-            run(fh)
+            command(cfg, fh)
     else:
-        run(sys.stdout)
+        command(cfg, sys.stdout)
     return 0
 
 

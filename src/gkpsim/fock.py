@@ -16,21 +16,14 @@ from .metrics import ortho_matrix_from_gram
 
 
 def hermite_function(n: int, x):
-    """Orthonormal oscillator eigenfunction psi_n(x) by stable upward recurrence."""
+    """Orthonormal oscillator eigenfunction psi_n(x), the last row of hermite_functions_upto."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    psi_prev = np.pi ** -0.25 * np.exp(-x * x / 2)
-    if n == 0:
-        return psi_prev
-    psi = np.sqrt(2.0) * x * psi_prev
-    for k in range(2, n + 1):
-        psi, psi_prev = np.sqrt(2.0 / k) * x * psi - np.sqrt((k - 1) / k) * psi_prev, psi
-    return psi
+    return hermite_functions_upto(n, x)[n]
 
 
 def hermite_functions_upto(n_max: int, x):
-    """psi_0..psi_{n_max} stacked along the first axis."""
+    """psi_0..psi_{n_max} stacked along the first axis, by stable upward recurrence."""
     x = np.asarray(x, dtype=float)
     out = np.zeros((n_max + 1,) + x.shape)
     out[0] = np.pi ** -0.25 * np.exp(-x * x / 2)

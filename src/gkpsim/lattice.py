@@ -166,9 +166,6 @@ class PrimitiveCell:
         rem, shift = self.remainder(np.asarray(v, dtype=float))
         return bool(np.max(np.abs(shift)) <= tol)
 
-    def coefficients(self, code: GkpCode, shift) -> np.ndarray:
-        return code.dual_coefficients(shift)
-
 
 class BoxCell(PrimitiveCell):
     """Cartesian product of half-open intervals (lo_i, hi_i], tiling under side-length shifts."""
@@ -201,9 +198,6 @@ class BoxCell(PrimitiveCell):
     def vertices(self) -> np.ndarray:
         corners = itertools.product(*[(lo, hi) for lo, hi in self.intervals])
         return np.array(list(corners), dtype=float)
-
-    def volume(self) -> float:
-        return float(np.prod([hi - lo for lo, hi in self.intervals]))
 
     def axis_shift_vectors(self) -> np.ndarray:
         """Dual vectors associated with crossing each +face (rows)."""
@@ -288,9 +282,6 @@ class VoronoiCell(PrimitiveCell):
             raise ValueError("vertices_2d requires a 2D cell")
         poly = _clip_halfplanes(self.relevant_vectors())
         return poly
-
-    def volume(self) -> float:
-        return float(abs(np.linalg.det(self.basis)))
 
 
 def _clip_halfplanes(rels: np.ndarray) -> np.ndarray:
@@ -542,12 +533,29 @@ def _same_point_set(a: np.ndarray, b: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # config loading
 
+# name -> (builder, required params, optional params), each {param: type};
+# an omitted optional param takes the builder's default
 _BUILTINS = {
-    "square": lambda **kw: square_code(int(kw.get("d", 2)), int(kw.get("n", 1))),
-    "hexagonal": lambda **kw: hexagonal_code(int(kw.get("d", 2))),
-    "rectangular": lambda **kw: rectangular_code(float(kw["alpha"]), int(kw.get("d", 2))),
-    "repetition": lambda **kw: repetition_code(int(kw.get("n", 3)), float(kw.get("alpha", 3 ** -0.25))),
+    "square": (square_code, {}, {"d": int, "n": int}),
+    "hexagonal": (hexagonal_code, {}, {"d": int}),
+    "rectangular": (rectangular_code, {"alpha": float}, {"d": int}),
+    "repetition": (repetition_code, {}, {"n": int, "alpha": float}),
 }
+
+
+def _checked(where: str, mapping, required, optional):
+    """mapping, after checking that it is a dict that has every required key
+    and no key outside required and optional; the error names the key."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a mapping, got {mapping!r}")
+    known = [*required, *optional]
+    for key in mapping:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where} (known keys: {', '.join(known) or 'none'})")
+    for key in required:
+        if key not in mapping:
+            raise ValueError(f"{where} needs the key {key!r}")
+    return mapping
 
 
 def code_from_config(cfg) -> tuple:
@@ -556,6 +564,10 @@ def code_from_config(cfg) -> tuple:
     Formats:
       {"name": "square", "params": {...}, "cell": {"voronoi": {}}}
       {"sigma": [[...], ...], "dims": [...], "cell": {"box": [[lo, hi], ...]}}
+
+    The cell is one of {"box": [[lo, hi], ...]}, {"voronoi": {"radius": r}}
+    (radius optional) and {"symmetric": {}}; the default is {"voronoi": {}}.
+    A key that is not read raises a ValueError that names it.
     """
     if isinstance(cfg, str):
         try:
@@ -563,20 +575,27 @@ def code_from_config(cfg) -> tuple:
         except json.JSONDecodeError:
             with open(cfg) as fh:
                 cfg = json.load(fh)
-    if "name" in cfg:
+    if isinstance(cfg, dict) and "name" in cfg:
+        _checked("code config", cfg, ("name",), ("params", "cell"))
         name = cfg["name"]
         if name not in _BUILTINS:
             raise ValueError(f"unknown built-in code {name!r}")
-        code = _BUILTINS[name](**cfg.get("params", {}))
+        builder, required, optional = _BUILTINS[name]
+        params = _checked(f"params of {name!r}", cfg.get("params", {}), required, optional)
+        types = {**required, **optional}
+        code = builder(**{key: types[key](value) for key, value in params.items()})
     else:
+        _checked("code config", cfg, ("sigma", "dims"), ("cell",))
         code = GkpCode(np.array(cfg["sigma"], dtype=float), tuple(cfg["dims"]))
-    cell_cfg = cfg.get("cell", {"voronoi": {}})
+    cell_cfg = _checked("cell config", cfg.get("cell", {"voronoi": {}}), (), ("box", "voronoi", "symmetric"))
+    if len(cell_cfg) != 1:
+        raise ValueError(f"cell config needs exactly one of 'box', 'voronoi', 'symmetric', got {cell_cfg!r}")
     if "box" in cell_cfg:
-        cell = BoxCell(cell_cfg["box"])
-    elif "voronoi" in cell_cfg:
-        cell = VoronoiCell(code, **cell_cfg["voronoi"])
-    elif "symmetric" in cell_cfg:
-        cell = repetition_symmetric_cell(code)
-    else:
-        raise ValueError(f"unknown cell config {cell_cfg!r}")
-    return code, cell
+        return code, BoxCell(cell_cfg["box"])
+    if "voronoi" in cell_cfg:
+        voronoi = _checked("cell.voronoi", cell_cfg["voronoi"], (), ("radius",))
+        if "radius" in voronoi and not (type(voronoi["radius"]) is int and voronoi["radius"] > 0):
+            raise ValueError(f"cell.voronoi.radius must be a positive integer, got {voronoi['radius']!r}")
+        return code, VoronoiCell(code, **voronoi)
+    _checked("cell.symmetric", cell_cfg["symmetric"], (), ())
+    return code, repetition_symmetric_cell(code)

@@ -348,15 +348,6 @@ class LogicalSuperop:
         a = _pauli_components(self.dims, _pauli_basis(self.dims) @ np.asarray(op))
         return LogicalSuperop(self.dims, a.T @ self.chi @ a.conj(), dict(self.meta))
 
-    def to_dict(self) -> dict:
-        """JSON-ready form; chi is written in double precision."""
-        chi = self.chi.astype(complex)
-        return {"dims": list(self.dims), "chi_re": chi.real.tolist(), "chi_im": chi.imag.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogicalSuperop":
-        return cls(tuple(data["dims"]), np.array(data["chi_re"]) + 1j * np.array(data["chi_im"]))
-
 
 # ---------------------------------------------------------------------------
 # channel construction
@@ -379,16 +370,9 @@ def _decay_precheck(cf: ChannelCharFn, code: GkpCode, s_max: int):
     zero = np.zeros(two_n)
 
     def probe(u, v, diagonal):
-        total = 0.0
-        for w, k in cf.terms:
-            if k.kind == POINT:
-                continue  # concentrated at the origin
-            if k.kind == DIAG_DELTA:
-                if diagonal:
-                    total += abs(w * k.evaluate(u, u))
-                continue
-            total += abs(w * k.evaluate(u, v))
-        return total
+        # POINT kernels sit at the origin; DIAG_DELTA kernels live on u = v only
+        return sum(abs(w * k.evaluate(u, v)) for w, k in cf.terms
+                   if k.kind != POINT and (diagonal or k.kind != DIAG_DELTA))
 
     ref = max(probe(zero, zero, True), probe(zero, zero, False), 1e-300)
     worst = 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logical import LogicalSuperop, _pauli_basis, _pauli_components
+from .logical import LogicalSuperop, _pauli_basis, _pauli_components, pauli_matrix
 
 
 @dataclass
@@ -165,7 +165,7 @@ def fock_qubit_baseline(noise: str, param: float) -> LogicalSuperop:
             raise ValueError("dephasing variance must be nonnegative")
         lam = np.exp(-sigma_sq / 2)
         k0 = np.sqrt((1 + lam) / 2) * np.eye(2, dtype=complex)
-        k1 = np.sqrt((1 - lam) / 2) * np.diag([1.0, -1.0]).astype(complex)
+        k1 = np.sqrt((1 - lam) / 2) * pauli_matrix((2,), (0, 1))  # Z
         return _kraus_to_superop([k0, k1])
     raise ValueError(f"unknown baseline noise {noise!r}")
 
@@ -182,10 +182,6 @@ def bloch_and_octahedron(rho: np.ndarray):
         raise ValueError("expected a 2x2 density matrix")
     if abs(np.trace(rho) - 1) > 1e-9:
         raise ValueError(f"density matrix must have unit trace, got {np.trace(rho)}")
-    sx = np.array([[0, 1], [1, 0]])
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.array([[1, 0], [0, -1]])
-    r = np.array([np.real(np.trace(rho @ sx)), np.real(np.trace(rho @ sy)),
-                  np.real(np.trace(rho @ sz))])
+    r = np.array([np.real(np.trace(rho @ p)) for p in _pauli_basis((2,))[[2, 3, 1]]])  # X, Y, Z
     inside = bool(np.sum(np.abs(r)) <= 1 + 1e-12)
     return r, inside

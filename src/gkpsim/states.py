@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GkpCode, PrimitiveCell, TransformedCell, UnionCell
-from .logical import pauli_matrix
+from .lattice import GkpCode, PrimitiveCell, TransformedCell, UnionCell, square_code, voronoi_box
+from .logical import _cell_quadrature_points, pauli_matrix
 from .symplectic import assert_symplectic, is_integral, omega, symplectic_product
 
 
@@ -45,20 +45,15 @@ class SubsystemKet:
 
     def norm_squared(self) -> float:
         """<psi|psi> under the density convention (weights supply dk)."""
-        groups = _group_by_k(self.terms)
-        total = 0.0
-        for _, terms in groups.items():
-            for t in terms:
-                total += t.weight * abs(t.amp) ** 2
-        return total
+        return sum(t.weight * abs(t.amp) ** 2 for t in self.terms)
 
 
-def _group_by_k(terms):
-    """Terms keyed by k rounded to a 1e-9 grid."""
+def _group_by_k(pairs):
+    """The items of (k, item) pairs, grouped by k rounded to a 1e-9 grid."""
     groups = {}
-    for t in terms:
-        key = tuple(np.round(np.asarray(t.k) / 1e-9).astype(np.int64))
-        groups.setdefault(key, []).append(t)
+    for k, item in pairs:
+        key = tuple(np.round(np.asarray(k) / 1e-9).astype(np.int64))
+        groups.setdefault(key, []).append(item)
     return groups
 
 
@@ -137,13 +132,7 @@ def decompose_wavefunction(psi, params: DecompositionParams, k_grid,
 
 def square_cell_grid(order: int = 32):
     """Gauss-Legendre (k, weight) grid on the square-qubit Voronoi cell."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    half = 2 ** -1.5
-    pts = []
-    for i in range(order):
-        for j in range(order):
-            pts.append((np.array([half * x[i], half * x[j]]), half * w[i] * half * w[j]))
-    return pts
+    return list(zip(*_cell_quadrature_points(voronoi_box(square_code()), order)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +191,20 @@ def wavefunction_from_table(path_or_array):
 # decomposition transformations
 
 
-def _apply_label_pauli(dims, s, label):
-    """P_d(s)|label> = phase * |label + s_x) (component-wise mod d)."""
-    s = np.asarray(s, dtype=np.int64)
-    n = len(dims)
-    phase = 1.0 + 0j
-    new = []
-    for j, d in enumerate(dims):
-        phase *= np.exp(1j * np.pi * s[j] * s[j + n] / d) * np.exp(2j * np.pi * s[j + n] * label[j] / d)
-        new.append((label[j] + s[j]) % d)
-    return tuple(new), phase
-
-
 def reduce_to_cell(params: DecompositionParams, label, k, amp) -> KetTerm:
-    """Express the stabilizer state |label, k> (arbitrary k) in the cell basis."""
+    """Express the stabilizer state |label, k> (arbitrary k) in the cell basis:
+    crossing into the cell by the dual vector lbar(s) applies P(s) to the label."""
     k = np.asarray(k, dtype=float)
     rem, shift = params.cell.remainder(k)
     if np.max(np.abs(shift)) < 1e-14:
         return KetTerm(tuple(label), rem, amp)
-    s = params.code.dual_coefficients(shift)
+    dims = params.code.dims
     phase = np.exp(1j * np.pi * (k @ omega(params.n_modes) @ shift))
-    new_label, pphase = _apply_label_pauli(params.code.dims, s, label)
-    return KetTerm(new_label, rem, amp * phase * pphase)
+    pauli = pauli_matrix(dims, params.code.dual_coefficients(shift))
+    column = pauli[:, np.ravel_multi_index(label, dims)]
+    row = int(np.flatnonzero(column)[0])
+    new_label = tuple(int(x) for x in np.unravel_index(row, dims))
+    return KetTerm(new_label, rem, amp * phase * column[row])
 
 
 def cell_transform(state: SubsystemKet, new_cell: PrimitiveCell) -> SubsystemKet:
@@ -430,7 +411,7 @@ def partial_trace(states) -> tuple:
     for prob, st in states:
         if st.params.code.dims != dims:
             raise ValueError("mixture components have mismatched decomposition parameters")
-        for _, terms in _group_by_k(st.terms).items():
+        for terms in _group_by_k((t.k, t) for t in st.terms).values():
             for ta in terms:
                 for tb in terms:
                     rho[index[ta.label], index[tb.label]] += (
@@ -464,12 +445,7 @@ def binned_pauli_action(pauli: str, params: DecompositionParams, k) -> int:
     return 1 if -0.25 < frac <= 0.25 else -1
 
 
-_PAULI_2 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI_2 = {name: pauli_matrix((2,), v) for name, v in [("I", (0, 0)), *_BIN_VECTORS.items()]}
 
 
 @dataclass
@@ -487,29 +463,23 @@ def binned_lst_decode(state) -> np.ndarray:
     EntangledKet returns the 4x4 operator on (external qubit) x (logical).
     No positivity guarantee: the underlying map is not completely positive.
     """
+    params = state.params
     if isinstance(state, SubsystemKet):
         ext_dim = 1
         terms = [(0, t.label, t.k, t.amp * np.sqrt(t.weight)) for t in state.terms]
-        params = state.params
     else:
         ext_dim = 2
-        terms = [(e, lab, np.asarray(k, dtype=float), amp) for e, lab, k, amp in state.terms]
-        params = state.params
+        terms = state.terms
     if params.code.dims != (2,):
         raise ValueError("binned LST is defined for single-mode qubit codes")
 
-    groups = {}
-    for e, lab, k, amp in terms:
-        key = tuple(np.round(np.asarray(k) * 1e9).astype(np.int64))
-        groups.setdefault(key, []).append((e, lab, np.asarray(k, dtype=float), amp))
-
+    groups = _group_by_k((t[2], t) for t in terms)
     m_mats = {}
     for name in ("I", "X", "Y", "Z"):
         pm = _PAULI_2[name]
         m = np.zeros((ext_dim, ext_dim), dtype=complex)
-        for _, g in groups.items():
-            k = g[0][2]
-            sign = 1 if name == "I" else binned_pauli_action(name, params, k)
+        for g in groups.values():
+            sign = 1 if name == "I" else binned_pauli_action(name, params, g[0][2])
             for (e1, l1, _, a1) in g:
                 for (e2, l2, _, a2) in g:
                     m[e1, e2] += sign * a1 * np.conj(a2) * pm[l2[0], l1[0]]

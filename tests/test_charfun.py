@@ -339,11 +339,3 @@ def test_dephased_envelope_node_floor():
     with pytest.raises(ValueError):
         dephased_envelope_charfun(0.1, 0.5, nodes=4)
 
-
-def test_serialization_round_trip():
-    cf = dephased_envelope_charfun(np.sqrt(1e-3), 0.5, 16)
-    back = ChannelCharFn.from_json(cf.to_json())
-    assert _pointwise_equal(cf, back, n=50, tol=1e-14)
-    cf = compose(loss_charfun(0.1), envelope_charfun(0.5))
-    back = ChannelCharFn.from_json(cf.to_json())
-    assert _pointwise_equal(cf, back, n=50, tol=1e-14)

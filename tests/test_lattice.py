@@ -5,6 +5,7 @@ import pytest
 
 from gkpsim.lattice import (
     BoxCell,
+    ShiftedUnionCell,
     VoronoiCell,
     code_from_config,
     hexagonal_code,
@@ -171,6 +172,28 @@ def test_config_loading(tmp_path):
     assert code.dims == (2,)
     with pytest.raises(ValueError):
         code_from_config({"name": "dodecahedral"})
+    code, cell = code_from_config({"name": "repetition", "params": {"n": 3, "alpha": ALPHA_STAR},
+                                   "cell": {"voronoi": {"radius": 2}}})
+    assert code.dims == (2, 1, 1) and cell.radius == 2
+    _, cell = code_from_config({"name": "repetition", "cell": {"symmetric": {}}})
+    assert isinstance(cell, ShiftedUnionCell)
+    # a key that is not read is an error that names the key
+    for cfg, key in [
+        ({"name": "square", "cell": {"voronoi": {"tie_tol": 1e-9}}}, "tie_tol"),
+        ({"name": "square", "cell": {"voronoi": {"radius": "x"}}}, "radius"),
+        ({"name": "square", "cell": {"voronoi": {"radius": 0}}}, "radius"),
+        ({"name": "square", "params": {"dd": 3}}, "dd"),
+        ({"name": "square", "cel": {"voronoi": {}}}, "cel"),
+        ({"name": "hexagonal", "params": {"n": 2}}, "n"),
+        ({"name": "rectangular", "params": {"d": 2}}, "alpha"),
+        ({"name": "repetition", "params": {"d": 2}}, "d"),
+        ({"sigma": np.eye(2).tolist(), "dims": [2], "params": {}}, "params"),
+        ({"sigma": np.eye(2).tolist()}, "dims"),
+        ({"name": "square", "cell": {"box": [[-0.5, 0.5], [-0.5, 0.5]], "voronoi": {}}}, "voronoi"),
+        ({"name": "repetition", "cell": {"symmetric": {"radius": 2}}}, "radius"),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            code_from_config(cfg)
 
 
 def test_pauli_class_labels():

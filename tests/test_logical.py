@@ -258,12 +258,6 @@ def test_superop_hermitivity_and_output_hermiticity():
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
 
-def test_superop_serialization():
-    ch = logical_channel(SQ, CELL, envelope_charfun(0.5), TruncationSpec(1))
-    back = LogicalSuperop.from_dict(ch.to_dict())
-    assert np.max(np.abs(ch.matrix() - back.matrix())) < 1e-14
-
-
 def test_pauli_matrix_conventions():
     # P(1,1) = e^{i pi/2} X Z = i X Z = Y
     y = pauli_matrix((2,), (1, 1))

@@ -184,6 +184,16 @@ def test_cell_transform_shifted_square_picks_up_x():
             assert t.amp == pytest.approx(expect)
 
 
+def test_cell_transform_boundary_pauli_phase_is_exact():
+    # k2 = 0.4 lies beyond the Z face, so the term crosses back by mbar_2 with
+    # k^T Omega shift = 0: the amplitude is Z's eigenvalue on |1>, exactly -1
+    st = SubsystemKet(PARAMS, [KetTerm((1,), np.array([0.0, 0.4]), 1)])
+    t = cell_transform(st, CELL).terms[0]
+    assert t.label == (1,)
+    assert all(type(x) is int for x in t.label)
+    assert t.amp == -1
+
+
 def test_cell_transform_round_trip():
     rng = np.random.default_rng(3)
     st = _random_ket(rng, 30)
