@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,21 @@ from .symplectic import (
 # codes
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; a bool or a number that is not integral raises a ValueError naming what."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """value as a float; a bool or a non-number raises a ValueError naming what."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GkpCode:
     """Multi-mode GKP code (Sigma, d)."""
@@ -36,7 +52,8 @@ class GkpCode:
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "dims", tuple(int(d) for d in np.atleast_1d(self.dims)))
+        dims = self.dims if np.ndim(self.dims) else (self.dims,)
+        object.__setattr__(self, "dims", tuple(_integer(d, "each entry of dims") for d in dims))
         assert_symplectic(sigma, name="Sigma")
         if len(self.dims) != sigma.shape[0] // 2:
             raise ValueError("dims must have one entry per mode")
@@ -216,9 +233,14 @@ class VoronoiCell(PrimitiveCell):
     """Voronoi cell of the dual lattice, with lexicographic tie-breaking.
 
     Nearest-point searches enumerate coefficient offsets in a window of
-    +-radius around the rounded solution; radius 3 covers every lattice used
-    here (validated by a radius growth check in the tests).  Squared
-    distances within 1e-12 of the minimum count as ties.
+    +-radius around the rounded solution, and prove their answer or raise.
+    With sigma_min the smallest singular value of the dual basis, a lattice
+    point outside the window lies at least sigma_min * (radius + 1/2) from
+    the point being reduced, and a coset point outside it at least
+    sigma_min * (2 radius + 1) from the origin; remainder and
+    relevant_vectors raise a RuntimeError when their minimum (tie tolerance
+    included) reaches that bound.  Squared distances within 1e-12 of the
+    minimum count as ties.
     """
 
     def __init__(self, code: GkpCode, radius: int = 3):
@@ -233,6 +255,7 @@ class VoronoiCell(PrimitiveCell):
         # lexicographically sorted so ties resolve to the smallest coefficient vector
         self._offsets = offs[np.lexsort(offs.T[::-1])]
         self._offset_points = self._offsets @ self.basis.T
+        self._sigma_min = np.linalg.svd(self.basis, compute_uv=False).min()
         self._relevant = None
 
     def remainder(self, v):
@@ -241,6 +264,8 @@ class VoronoiCell(PrimitiveCell):
         cands = (self.basis @ s0) + self._offset_points
         d2 = np.sum((v[np.newaxis, :] - cands) ** 2, axis=1)
         best = np.min(d2)
+        if best + 1e-12 >= (self._sigma_min * (self.radius + 0.5)) ** 2:
+            raise RuntimeError(f"nearest dual vector not proven within radius {self.radius}; enlarge radius")
         idx = np.nonzero(d2 <= best + 1e-12)[0][0]
         shift = cands[idx]
         return v - shift, shift
@@ -261,6 +286,8 @@ class VoronoiCell(PrimitiveCell):
             coset = 2.0 * pts + self.basis @ np.array(c, dtype=float)
             d2 = np.sum(coset ** 2, axis=1)
             order = np.argsort(d2)
+            if d2[order[0]] + 1e-9 >= (self._sigma_min * (2 * self.radius + 1)) ** 2:
+                raise RuntimeError(f"coset minimum not proven within radius {self.radius}; enlarge radius")
             if d2[order[1]] > d2[order[0]] + 1e-9:
                 raise RuntimeError("coset minimum is not a +- pair; enlarge radius")
             if len(order) > 2 and d2[order[2]] <= d2[order[0]] + 1e-9:
@@ -533,13 +560,13 @@ def _same_point_set(a: np.ndarray, b: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # config loading
 
-# name -> (builder, required params, optional params), each {param: type};
+# name -> (builder, required params, optional params), each {param: converter};
 # an omitted optional param takes the builder's default
 _BUILTINS = {
-    "square": (square_code, {}, {"d": int, "n": int}),
-    "hexagonal": (hexagonal_code, {}, {"d": int}),
-    "rectangular": (rectangular_code, {"alpha": float}, {"d": int}),
-    "repetition": (repetition_code, {}, {"n": int, "alpha": float}),
+    "square": (square_code, {}, {"d": _integer, "n": _integer}),
+    "hexagonal": (hexagonal_code, {}, {"d": _integer}),
+    "rectangular": (rectangular_code, {"alpha": _real}, {"d": _integer}),
+    "repetition": (repetition_code, {}, {"n": _integer, "alpha": _real}),
 }
 
 
@@ -582,8 +609,9 @@ def code_from_config(cfg) -> tuple:
             raise ValueError(f"unknown built-in code {name!r}")
         builder, required, optional = _BUILTINS[name]
         params = _checked(f"params of {name!r}", cfg.get("params", {}), required, optional)
-        types = {**required, **optional}
-        code = builder(**{key: types[key](value) for key, value in params.items()})
+        convert = {**required, **optional}
+        code = builder(**{key: convert[key](value, f"params.{key} of {name!r}")
+                          for key, value in params.items()})
     else:
         _checked("code config", cfg, ("sigma", "dims"), ("cell",))
         code = GkpCode(np.array(cfg["sigma"], dtype=float), tuple(cfg["dims"]))

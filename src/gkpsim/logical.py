@@ -5,6 +5,10 @@ window_coefficients integrates the raw coefficients c_{s,t} of
 N(rho) = sum_{s,t} c_{s,t} P(s) rho P(t)^dag over a truncated dual-lattice
 window: box cells analytically (per-coordinate complex Gaussians via the
 complex error function), other bounded cells by tensor/triangle quadrature.
+On a box cell c_{s,t} is a product of 1D factors that many (s, t) pairs
+share, so window_coefficients computes each distinct factor of a kernel term
+once (keyed by its exact arguments) and forgets them before the next term
+and when it returns.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).  Passing a
 digit count dps runs the box integrals in a private mpmath context at that
@@ -15,6 +19,7 @@ and the same metrics apply.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -117,20 +122,31 @@ def _point_value(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell, s, 
     return kernel.amp if inside else 0.0
 
 
+# The 1D factors of the kernel term that window_coefficients is integrating,
+# keyed by their exact arguments; unset outside that call, so nothing outlives it.
+_FACTORS: contextvars.ContextVar[dict] = contextvars.ContextVar("_FACTORS")
+
+
 def _gaussian_1d_parts(ctx, q, b, lo, hi):
     """(exponent, prefactor) with int_lo^hi exp(-q x^2 + b x) dx = prefactor * exp(exponent).
 
     Split so callers can sum exponents across coordinates before
     exponentiating; the factored form overflows double precision in the
-    deeply squeezed regime even though the product is tiny.
+    deeply squeezed regime even though the product is tiny.  Within one
+    kernel term of window_coefficients a repeated (q, b, lo, hi) returns the
+    first result.
     """
-    m, scalar = (np, complex) if ctx is None else (ctx, ctx.mpc)
-    q = scalar(q)
-    b = scalar(b)
-    sq = m.sqrt(q)
-    center = b / (2 * q)
-    pref = m.sqrt(m.pi) / (2 * sq) * _erf_diff(ctx, sq * (lo - center), sq * (hi - center))
-    return b * b / (4 * q), pref
+    memo = _FACTORS.get({})
+    key = (complex(q), complex(b), float(lo), float(hi))
+    if key not in memo:
+        m, scalar = (np, complex) if ctx is None else (ctx, ctx.mpc)
+        q = scalar(q)
+        b = scalar(b)
+        sq = m.sqrt(q)
+        center = b / (2 * q)
+        pref = m.sqrt(m.pi) / (2 * sq) * _erf_diff(ctx, sq * (lo - center), sq * (hi - center))
+        memo[key] = b * b / (4 * q), pref
+    return memo[key]
 
 
 def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t, ctx=None):
@@ -414,17 +430,22 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
         ctx = mp.MPContext()
         ctx.dps = dps
     scalar = complex if ctx is None else ctx.mpc
-    coeffs = {}
-    for s in window:
-        for t in window:
-            total = scalar(0.0)
-            for w, kern in cf.terms:
+    coeffs = {(s, t): scalar(0.0) for s in window for t in window}
+    memo = {}
+    token = _FACTORS.set(memo)
+    try:
+        for w, kern in cf.terms:
+            # one term's factors at a time keeps the memo small for the
+            # 64-term dephasing kernel; each pair still sums its terms in order
+            memo.clear()
+            for s, t in coeffs:
                 if use_box:
                     val = box_cell_integral(kern, code, cell, s, t, ctx)
                 else:
                     val, _ = numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
-                total = total + scalar(w) * val
-            coeffs[(s, t)] = total
+                coeffs[(s, t)] = coeffs[(s, t)] + scalar(w) * val
+    finally:
+        _FACTORS.reset(token)
     return coeffs
 
 

@@ -91,6 +91,29 @@ def test_voronoi_radius_growth_changes_nothing():
         assert np.allclose(r3, r4, atol=1e-12)
 
 
+def test_voronoi_search_radius_is_proven():
+    a = ALPHA_STAR / np.sqrt(2)
+    b = 1 / (np.sqrt(2) * ALPHA_STAR)
+    rng = np.random.default_rng(23)
+    for code, radius in [(square_code(), 3), (hexagonal_code(), 3), (rectangular_code(0.8), 3),
+                         (square_code(2, 2), 3), (repetition_code(3, ALPHA_STAR), 2)]:
+        cell = VoronoiCell(code, radius=radius)
+        assert len(cell.relevant_vectors()) > 0
+        for _ in range(200):
+            v = rng.normal(size=cell.dim) * 3.0
+            rem, _ = cell.remainder(v)
+            assert cell.contains(rem, tol=1e-9)
+    # a deep hole of the repetition code's dual lattice (body-centred cubic in
+    # position, simple cubic in momentum) lies 1.005 from every dual vector
+    deep_hole = np.array([a, a / 2, 0.0, b / 2, b / 2, b / 2])
+    VoronoiCell(repetition_code(3, ALPHA_STAR), radius=2).remainder(deep_hole)
+    too_small = VoronoiCell(repetition_code(3, ALPHA_STAR), radius=1)
+    with pytest.raises(RuntimeError, match="radius 1"):
+        too_small.relevant_vectors()
+    with pytest.raises(RuntimeError, match="radius 1"):
+        too_small.remainder(deep_hole)
+
+
 def test_shortest_error_square():
     code = square_code()
     for cell in (voronoi_box(code), VoronoiCell(code)):
@@ -191,9 +214,19 @@ def test_config_loading(tmp_path):
         ({"sigma": np.eye(2).tolist()}, "dims"),
         ({"name": "square", "cell": {"box": [[-0.5, 0.5], [-0.5, 0.5]], "voronoi": {}}}, "voronoi"),
         ({"name": "repetition", "cell": {"symmetric": {"radius": 2}}}, "radius"),
+        # a bool or a non-integral number is not silently truncated
+        ({"name": "square", "params": {"d": 2.7}}, "d"),
+        ({"name": "square", "params": {"n": True}}, "n"),
+        ({"name": "hexagonal", "params": {"d": "2"}}, "d"),
+        ({"name": "rectangular", "params": {"alpha": True}}, "alpha"),
+        ({"name": "repetition", "params": {"n": 3.5}}, "n"),
+        ({"sigma": np.eye(2).tolist(), "dims": [2.9]}, "dims"),
+        ({"sigma": np.eye(2).tolist(), "dims": [True]}, "dims"),
     ]:
         with pytest.raises(ValueError, match=key):
             code_from_config(cfg)
+    code, _ = code_from_config({"name": "square", "params": {"d": 3.0, "n": 2}})
+    assert code.dims == (3, 3) and all(type(d) is int for d in code.dims)
 
 
 def test_pauli_class_labels():

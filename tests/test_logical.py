@@ -14,6 +14,7 @@ from gkpsim.charfun import (
     loss_charfun,
     random_displacement_charfun,
 )
+from gkpsim import logical
 from gkpsim.lattice import VoronoiCell, hexagonal_code, square_code, voronoi_box
 from gkpsim.logical import (
     DecayViolationError,
@@ -25,6 +26,7 @@ from gkpsim.logical import (
     logical_channel,
     numeric_cell_integral,
     pauli_matrix,
+    suggest_dps,
     window_coefficients,
 )
 from gkpsim.metrics import average_gate_fidelity, cptp_diagnostics, lowdin_orthonormalize
@@ -186,6 +188,87 @@ def test_numeric_cell_integral_zero_kernel():
     kern.amp = 0.0
     val, err = numeric_cell_integral(kern, SQ, VoronoiCell(SQ), (0, 0), (0, 0))
     assert val == 0
+
+
+# ---------------------------------------------------------------------------
+# the 1D factors that window_coefficients shares between pairs
+
+
+def _counted_window(monkeypatch, *args, **kwargs):
+    """window_coefficients(*args, **kwargs) with its work recorded: (coefficients,
+    erf differences computed, (q, b, lo, hi) of every 1D factor requested)."""
+    erf_diffs, keys = [], []
+    erf_diff, parts = logical._erf_diff, logical._gaussian_1d_parts
+
+    def counted_erf_diff(*a):
+        erf_diffs.append(a)
+        return erf_diff(*a)
+
+    def recorded_parts(ctx, q, b, lo, hi):
+        keys.append((complex(q), complex(b), float(lo), float(hi)))
+        return parts(ctx, q, b, lo, hi)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(logical, "_erf_diff", counted_erf_diff)
+        patch.setattr(logical, "_gaussian_1d_parts", recorded_parts)
+        coeffs = window_coefficients(*args, **kwargs)
+    return coeffs, len(erf_diffs), keys
+
+
+def _memo_free_coefficients(cf, trunc, ctx):
+    """The same sums as window_coefficients, from box_cell_integral called per pair."""
+    scalar = complex if ctx is None else ctx.mpc
+    window = trunc.window(2)
+    out = {}
+    for s in window:
+        for t in window:
+            total = scalar(0.0)
+            for w, kern in cf.terms:
+                total = total + scalar(w) * box_cell_integral(kern, SQ, CELL, s, t, ctx)
+            out[(s, t)] = total
+    return out
+
+
+def test_window_computes_each_distinct_1d_factor_once(monkeypatch):
+    delta = 10 ** (-26 / 20)
+    _, erf_diffs, keys = _counted_window(monkeypatch, SQ, CELL, envelope_charfun(delta),
+                                         TruncationSpec(2), dps=suggest_dps(delta))
+    assert len(keys) == 2 * 25 ** 2
+    assert erf_diffs == len(set(keys))
+    assert erf_diffs < len(keys) / 5
+
+
+def test_window_coefficients_are_bit_identical_to_per_pair_integrals():
+    delta = 10 ** (-26 / 20)
+    dps = suggest_dps(delta)
+    got = window_coefficients(SQ, CELL, envelope_charfun(delta), TruncationSpec(1), dps=dps)
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    expect = _memo_free_coefficients(envelope_charfun(delta), TruncationSpec(1), ctx)
+    assert list(got) == list(expect)
+    assert all(got[k].real == expect[k].real and got[k].imag == expect[k].imag for k in got)
+    # float path, several kernel terms, a larger window
+    cf = compose(loss_charfun(0.01), dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=8))
+    got = window_coefficients(SQ, CELL, cf, TruncationSpec(2))
+    expect = _memo_free_coefficients(cf, TruncationSpec(2), None)
+    assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
+
+
+def test_window_memo_does_not_outlive_the_call(monkeypatch):
+    cf = envelope_charfun(10 ** (-12 / 20))
+    first, erf_first, keys = _counted_window(monkeypatch, SQ, CELL, cf, TruncationSpec(1), dps=30)
+    second, erf_second, _ = _counted_window(monkeypatch, SQ, CELL, cf, TruncationSpec(1), dps=30)
+    assert erf_first == erf_second == len(set(keys)) > 0
+    assert first == second
+    assert logical._FACTORS.get(None) is None
+
+    def failing_box(*args):
+        raise RuntimeError("box integral failed")
+
+    monkeypatch.setattr(logical, "box_cell_integral", failing_box)
+    with pytest.raises(RuntimeError, match="box integral failed"):
+        window_coefficients(SQ, CELL, cf, TruncationSpec(1))
+    assert logical._FACTORS.get(None) is None
 
 
 # ---------------------------------------------------------------------------
