@@ -55,6 +55,7 @@ from .logical import (
 from .metrics import (
     OrthoMatrix,
     average_gate_fidelity,
+    average_gate_infidelity,
     bloch_and_octahedron,
     choi_matrix,
     cptp_diagnostics,

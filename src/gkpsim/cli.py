@@ -4,6 +4,11 @@ oracle cross-checks, emitting CSV/JSON artifacts.
 Output is deterministic byte-for-byte for a fixed config: grid points are
 processed in input order with a fixed summation order, and floats are printed
 with 17 significant digits.
+
+Sweep rows report the cancellation-free average gate infidelity
+(metrics.average_gate_infidelity).  Each channel is built in double
+precision, and rebuilt at FALLBACK_DPS digits only when its integrals
+underflowed and its infidelity is small enough for them to matter.
 """
 
 from __future__ import annotations
@@ -32,12 +37,12 @@ from .lattice import (
 )
 from .logical import (
     TruncationSpec,
-    highprec_channel_analysis,
+    highprec_channel_analysis,  # noqa: F401  bench/tracing.py patches this name in cli
     logical_channel,
-    suggest_dps,
 )
 from .metrics import (
-    average_gate_fidelity,
+    average_gate_fidelity,  # noqa: F401  bench/tracing.py patches this name in cli
+    average_gate_infidelity,
     bloch_and_octahedron,
     cptp_diagnostics,
     fock_qubit_baseline,
@@ -46,7 +51,19 @@ from .metrics import (
 from .states import CLIFFORD_TABLE
 from .symplectic import standard_form
 
-HIGHPREC_DB_THRESHOLD = 25.0
+# A double-precision channel is rebuilt at FALLBACK_DPS digits when some of
+# its integrals underflowed (meta["underflowed"]) and its infidelity lies
+# below RERUN_BELOW.  An integral cut off at the -745 exponent is below
+# exp(-745) ~ 5e-324 times its prefactor, of order the cell volume, and a
+# window with S <= 5 and 64 kernel terms has under 1e6 (pair, term)
+# integrals, so the lost terms sum to below ~1e-310 and move an infidelity
+# above 1e-290 by under 1e-20 relative.  Below 1e-290 they, and subnormal
+# rounding from 2.2e-308 down, could matter.  mpmath's exponent is
+# unbounded, so the diagonal sum needs no more digits as squeezing grows:
+# 30 reproduce all 17 printed digits of the 410- and 613-digit references
+# at 30 and 32 dB.
+RERUN_BELOW = 1e-290
+FALLBACK_DPS = 30
 
 
 def _fmt(x) -> str:
@@ -80,28 +97,29 @@ def _build_charfun(noise: str, delta: float, param: float, nodes: int):
     raise ValueError(f"unknown noise family {noise!r}")
 
 
-def _float_analysis(cf, code, cell, s_max: int) -> dict:
-    """The double-precision counterpart of highprec_channel_analysis."""
-    _, och = lowdin_orthonormalize(logical_channel(code, cell, cf, TruncationSpec(s_max)))
+def _analysis(cf, code, cell, s_max: int, dps) -> dict:
+    """Metrics of the Loewdin-orthonormalized channel at truncation s_max, at
+    dps digits or in double precision (dps None); a double-precision channel
+    whose integrals underflowed and whose infidelity lies below RERUN_BELOW
+    is rebuilt at FALLBACK_DPS digits.  meta is the reported channel's."""
+    _, och = lowdin_orthonormalize(logical_channel(code, cell, cf, TruncationSpec(s_max), dps=dps))
+    infid = average_gate_infidelity(och)
+    if dps is None and och.meta["underflowed"] and infid < RERUN_BELOW:
+        return _analysis(cf, code, cell, s_max, FALLBACK_DPS)
     tp, choi = cptp_diagnostics(och)
-    return {"infidelity": 1 - average_gate_fidelity(och, warn=False), "tp_defect": tp,
-            "min_choi_eig": choi}
+    return {"infidelity": infid, "tp_defect": tp, "min_choi_eig": choi, "meta": och.meta}
 
 
 def sweep_point(noise: str, delta_db: float, param: float, s_max: int, nodes: int,
                 code=None, cell=None):
     """One sweep row: orthonormalized logical-channel metrics plus the
-    truncation residual at s_max + 1, in mpmath above HIGHPREC_DB_THRESHOLD."""
+    truncation residual at s_max + 1, each channel in double precision unless
+    it underflowed (see _analysis)."""
     code = square_code() if code is None else code
     cell = voronoi_box(code) if cell is None else cell
     delta = _delta_from_db(delta_db)
     cf = _build_charfun(noise, delta, param, nodes)
-    if delta_db > HIGHPREC_DB_THRESHOLD:
-        dps = suggest_dps(delta)
-        res, res2 = (highprec_channel_analysis(cf, code, cell, TruncationSpec(s), dps=dps)
-                     for s in (s_max, s_max + 1))
-    else:
-        res, res2 = (_float_analysis(cf, code, cell, s) for s in (s_max, s_max + 1))
+    res, res2 = (_analysis(cf, code, cell, s, None) for s in (s_max, s_max + 1))
     infid, infid2 = res["infidelity"], res2["infidelity"]
     residual = abs(infid - infid2) / infid2 if infid2 > 0 else 0.0
     return {
@@ -114,11 +132,10 @@ def sweep_point(noise: str, delta_db: float, param: float, s_max: int, nodes: in
 def baseline_point(noise: str, param: float):
     family = "loss" if noise in ("loss", "displacement") else "dephasing"
     ch = fock_qubit_baseline(family, param)
-    fid = average_gate_fidelity(ch, warn=False)
     tp, choi = cptp_diagnostics(ch)
     return {
         "delta_db": float("nan"), "nbar_est": 0.5, "noise_param": param,
-        "avg_gate_infidelity": 1 - fid, "tp_defect": tp, "min_choi_eig": choi,
+        "avg_gate_infidelity": average_gate_infidelity(ch), "tp_defect": tp, "min_choi_eig": choi,
         "smax_residual": 0.0, "is_baseline": True,
     }
 

@@ -10,11 +10,15 @@ share, so window_coefficients computes each distinct factor of a kernel term
 once (keyed by its exact arguments) and forgets them before the next term
 and when it returns.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
-d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).  Passing a
-digit count dps runs the box integrals in a private mpmath context at that
-precision, which covers the deeply squeezed regime where coefficients
-underflow double precision; chi is then an object array of mpmath numbers
-and the same metrics apply.
+d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
+
+Channels are built in double precision.  An integral whose Gaussian
+integrand is nonzero but comes out exactly 0 has underflowed, and
+logical_channel counts these in meta["underflowed"].  Passing a digit count
+dps is the fallback for such a channel: the box integrals then run in a
+private mpmath context at that precision, whose exponent is unbounded, so a
+fixed ~30 digits serve however deep the squeezing; chi is then an object
+array of mpmath numbers and the same metrics apply.
 """
 
 from __future__ import annotations
@@ -412,14 +416,18 @@ def _decay_precheck(cf: ChannelCharFn, code: GkpCode, s_max: int):
 
 def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                         trunc: TruncationSpec = TruncationSpec(1), dps: int | None = None,
-                        quad_order: int = 40) -> dict:
-    """Raw Pauli-pair coefficients {(s, t): c_{s,t}} over the truncation window:
-    cell integrals of c_{s,t}(v, v), summed over the kernel terms.
+                        quad_order: int = 40) -> tuple:
+    """Raw Pauli-pair coefficients {(s, t): c_{s,t}} over the truncation window,
+    cell integrals of c_{s,t}(v, v) summed over the kernel terms, and the
+    number of (pair, term) integrals that underflowed.
 
     Box cells integrate in closed form, in double precision when dps is None
     and otherwise in a private mpmath context at dps digits (the global
     mp.mp is never touched); other cells by quadrature, in double precision
-    only.
+    only.  An integral underflowed when it is exactly 0 although its
+    integrand is not: a FULL kernel (a box integral below the -745 exponent
+    cutoff, or a quadrature whose every point underflowed), or a DIAG_DELTA
+    kernel on s = t.
     """
     window = trunc.window(2 * code.n_modes)
     use_box = isinstance(cell, BoxCell)
@@ -432,6 +440,7 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     scalar = complex if ctx is None else ctx.mpc
     coeffs = {(s, t): scalar(0.0) for s in window for t in window}
     memo = {}
+    underflowed = 0
     token = _FACTORS.set(memo)
     try:
         for w, kern in cf.terms:
@@ -443,10 +452,12 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                     val = box_cell_integral(kern, code, cell, s, t, ctx)
                 else:
                     val, _ = numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
+                if val == 0 and (kern.kind == FULL or (kern.kind == DIAG_DELTA and s == t)):
+                    underflowed += 1
                 coeffs[(s, t)] = coeffs[(s, t)] + scalar(w) * val
     finally:
         _FACTORS.reset(token)
-    return coeffs
+    return coeffs, underflowed
 
 
 def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
@@ -454,11 +465,12 @@ def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                     quad_order: int = 40) -> LogicalSuperop:
     """Logical noise channel of cf on the code/cell decoder: decay precheck,
     window coefficients (in double precision, or at dps digits), then the
-    fold into chi (fixed, sorted summation order for reproducibility)."""
+    fold into chi (fixed, sorted summation order for reproducibility).
+    meta records s_max, dps and the count of underflowed integrals."""
     _decay_precheck(cf, code, trunc.s_max)
-    ch = LogicalSuperop.from_pauli_pairs(
-        code.dims, window_coefficients(code, cell, cf, trunc, dps, quad_order))
-    ch.meta = {"s_max": trunc.s_max, "dps": dps}
+    coeffs, underflowed = window_coefficients(code, cell, cf, trunc, dps, quad_order)
+    ch = LogicalSuperop.from_pauli_pairs(code.dims, coeffs)
+    ch.meta = {"s_max": trunc.s_max, "dps": dps, "underflowed": underflowed}
     return ch
 
 
@@ -466,6 +478,7 @@ def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
 # high-precision channel analysis (deep-squeezing regime)
 
 
+# Kept as the digit rule of the independent references in bench/make_references.py and tests.
 def suggest_dps(delta: float) -> int:
     """Working precision that resolves the envelope-channel infidelity at Delta.
 
@@ -475,6 +488,7 @@ def suggest_dps(delta: float) -> int:
     return int(0.35 / delta ** 2) + 60
 
 
+# Kept on 1 - F at its given dps, so it stays independent of the sweep's diagonal-sum infidelity.
 def highprec_channel_analysis(cf: ChannelCharFn, code: GkpCode, cell: BoxCell,
                               trunc: TruncationSpec = TruncationSpec(1),
                               dps: int = 50) -> dict:

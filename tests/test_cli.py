@@ -1,15 +1,19 @@
 """`gkpsim` subcommands driven through cli.main on tiny configs.  The sweep
 and Bloch values were printed by the code before the chi representation
 replaced the Pauli-pair dict (the Bloch state column was added later); the
-JSON reports by the code before precision became a digit count.
+JSON reports by the code before precision became a digit count.  The 26 and
+30 dB envelope rows were printed by the mpmath path at 199 and 410 digits,
+before the infidelity became a cancellation-free diagonal sum.
 
 Float values agree to 1e-9 relative, with an absolute floor for values that
 are rounding noise (trace defects, Choi eigenvalues and Bloch components
 near 1e-16 and below, zeros of the lattice matrices).  smax_residual divides a difference of two
 fidelities by the infidelity, so its rounding floor is 1e-15 / infidelity.
-High-precision rows (above 25 dB) must reproduce every printed digit of the
-infidelity; their tp_defect and min_choi_eig sit at the working-precision
-noise level (about 1e-200 at 26 dB), so only their size is checked.
+The 26 dB row runs in double precision, where the diagonal sum matches the
+199-digit infidelity to DEEP_REL.  Rows whose infidelity lies below
+cli.RERUN_BELOW take the dps-30 fallback and must reproduce every printed
+digit of the infidelity; their tp_defect and min_choi_eig are rounding noise
+of 30-digit arithmetic, so only their size is checked.
 """
 
 import json
@@ -21,11 +25,13 @@ from gkpsim import cli
 
 REL = 1e-9
 NOISE = 1e-15
+DEEP_REL = 1e-12  # double-precision diagonal sum against a stored mpmath infidelity
 
 ENVELOPE_SWEEP = """\
 delta_db,nbar_est,noise_param,avg_gate_infidelity,tp_defect,min_choi_eig,smax_residual,is_baseline
 8,2.6547867224009667,0,0.0021036638176424871,4.4408920985037451e-16,5.1411943921186261e-06,3.0873776692780779e-11,0
 26,198.55358527674869,0,6.8557214597667489e-138,2.6192633760572472e-201,-2.4795424599424483e-201,0.0,0
+30,499.50000000000011,0,2.1598615577169454e-343,1.2418121899148105e-411,4.8709882527812633e-412,0.0,0
 """
 
 LOSS_SWEEP = """\
@@ -104,15 +110,18 @@ def _assert_sweep_close(got_text, want_text):
     assert len(got) == len(want)
     col = {name: i for i, name in enumerate(header)}
     for g, w in zip(got, want):
-        highprec = w[col["delta_db"]] > cli.HIGHPREC_DB_THRESHOLD
         infid = w[col["avg_gate_infidelity"]]
+        fallback = infid < cli.RERUN_BELOW  # the dps-30 path
+        deep = infid < 1e-16  # stored by an mpmath path; 1 - F rounds it away in double precision
         for name, i in col.items():
-            if highprec and name == "avg_gate_infidelity":
+            if fallback and name == "avg_gate_infidelity":
                 assert abs(g[i] - w[i]) <= 1e-16 * w[i], name
-            elif highprec and name == "tp_defect":
-                assert 0 <= g[i] < 1e-150
-            elif highprec and name == "min_choi_eig":
-                assert g[i] >= -1e-9
+            elif fallback and name == "tp_defect":
+                assert 0 <= g[i] < 1e-25
+            elif fallback and name == "min_choi_eig":
+                assert g[i] >= -1e-25
+            elif deep and name == "avg_gate_infidelity":
+                assert abs(g[i] - w[i]) <= DEEP_REL * w[i], name
             elif name == "delta_db" and mp.isnan(w[i]):
                 assert mp.isnan(g[i])
             else:
@@ -121,7 +130,7 @@ def _assert_sweep_close(got_text, want_text):
 
 
 def test_sweep_envelope_float_and_highprec_rows(tmp_path):
-    cfg = {"noise": "envelope", "delta_db": [8, 26], "noise_param": [0.0], "smax": 1,
+    cfg = {"noise": "envelope", "delta_db": [8, 26, 30], "noise_param": [0.0], "smax": 1,
            "baseline": True}
     _assert_sweep_close(_run(tmp_path, "sweep", cfg), ENVELOPE_SWEEP)
 

@@ -14,7 +14,7 @@ from gkpsim.charfun import (
     loss_charfun,
     random_displacement_charfun,
 )
-from gkpsim import logical
+from gkpsim import cli, logical
 from gkpsim.lattice import VoronoiCell, hexagonal_code, square_code, voronoi_box
 from gkpsim.logical import (
     DecayViolationError,
@@ -29,7 +29,12 @@ from gkpsim.logical import (
     suggest_dps,
     window_coefficients,
 )
-from gkpsim.metrics import average_gate_fidelity, cptp_diagnostics, lowdin_orthonormalize
+from gkpsim.metrics import (
+    average_gate_fidelity,
+    average_gate_infidelity,
+    cptp_diagnostics,
+    lowdin_orthonormalize,
+)
 
 SQ = square_code()
 CELL = voronoi_box(SQ)
@@ -211,7 +216,7 @@ def _counted_window(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(logical, "_erf_diff", counted_erf_diff)
         patch.setattr(logical, "_gaussian_1d_parts", recorded_parts)
-        coeffs = window_coefficients(*args, **kwargs)
+        coeffs, _ = window_coefficients(*args, **kwargs)
     return coeffs, len(erf_diffs), keys
 
 
@@ -241,7 +246,7 @@ def test_window_computes_each_distinct_1d_factor_once(monkeypatch):
 def test_window_coefficients_are_bit_identical_to_per_pair_integrals():
     delta = 10 ** (-26 / 20)
     dps = suggest_dps(delta)
-    got = window_coefficients(SQ, CELL, envelope_charfun(delta), TruncationSpec(1), dps=dps)
+    got, _ = window_coefficients(SQ, CELL, envelope_charfun(delta), TruncationSpec(1), dps=dps)
     ctx = mp.MPContext()
     ctx.dps = dps
     expect = _memo_free_coefficients(envelope_charfun(delta), TruncationSpec(1), ctx)
@@ -249,7 +254,7 @@ def test_window_coefficients_are_bit_identical_to_per_pair_integrals():
     assert all(got[k].real == expect[k].real and got[k].imag == expect[k].imag for k in got)
     # float path, several kernel terms, a larger window
     cf = compose(loss_charfun(0.01), dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=8))
-    got = window_coefficients(SQ, CELL, cf, TruncationSpec(2))
+    got, _ = window_coefficients(SQ, CELL, cf, TruncationSpec(2))
     expect = _memo_free_coefficients(cf, TruncationSpec(2), None)
     assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
 
@@ -293,11 +298,15 @@ def test_displacement_on_ideal_codestate_allowed():
 
 
 def test_envelope_infidelity_vanishes_at_30db():
-    # App-H-regime limit: at Delta_dB = 30 the float path underflows to zero
+    # App-H-regime limit: at Delta_dB = 30 the infidelity (2.2e-343) lies
+    # below double precision; the float channel records that its
+    # coefficients underflowed, which sends sweep rows to the mpmath fallback
     delta = 10 ** (-30 / 20)
     ch = logical_channel(SQ, CELL, envelope_charfun(delta), TruncationSpec(1))
+    assert ch.meta["underflowed"] > 0
     _, och = lowdin_orthonormalize(ch)
     assert abs(1 - average_gate_fidelity(och, warn=False)) < 1e-12
+    assert average_gate_infidelity(och) < 1e-300
 
 
 def test_truncation_residual_monotone():
@@ -319,7 +328,8 @@ def test_truncation_residual_monotone():
 
 def test_coefficient_decay_is_exponential():
     # |coeff(s,t)| <= coeff(0,0) exp(-c (|s|^2 + |t|^2)) with fitted c > 0
-    coeffs = window_coefficients(SQ, CELL, envelope_charfun(0.5), TruncationSpec(2))
+    coeffs, underflowed = window_coefficients(SQ, CELL, envelope_charfun(0.5), TruncationSpec(2))
+    assert underflowed == 0
     c00 = abs(coeffs[((0, 0), (0, 0))])
     rates = []
     for (s, t), c in coeffs.items():
@@ -394,6 +404,101 @@ def test_mpmath_backend_refuses_quadrature_cells():
     with pytest.raises(ValueError, match="box cells"):
         logical_channel(SQ, VoronoiCell(SQ), envelope_charfun(0.5), TruncationSpec(0),
                         dps=30)
+
+
+# ---------------------------------------------------------------------------
+# sweep channels: double precision, and dps 30 only when coefficients underflow
+
+
+@pytest.mark.parametrize("noise", ["envelope", "loss"])
+@pytest.mark.parametrize("delta_db", [20, 24, 27, 29])
+def test_float_and_fallback_precision_agree(noise, delta_db):
+    # the diagonal-sum infidelity keeps its relative precision in double
+    # precision while it stays a normal number (down to ~1e-300)
+    env = envelope_charfun(10 ** (-delta_db / 20))
+    cf = env if noise == "envelope" else compose(loss_charfun(0.001), env)
+    infid = {}
+    for dps in (None, 30):
+        _, och = lowdin_orthonormalize(logical_channel(SQ, CELL, cf, TruncationSpec(1), dps=dps))
+        infid[dps] = average_gate_infidelity(och)
+    assert 1e-300 < infid[30] < 1e-30
+    assert abs(infid[None] - infid[30]) <= 1e-12 * infid[30]
+
+
+def _record_box_calls(monkeypatch) -> list:
+    calls = []
+    box = logical.box_cell_integral
+
+    def recorded(*args):
+        calls.append(args)
+        return box(*args)
+
+    monkeypatch.setattr(logical, "box_cell_integral", recorded)
+    return calls
+
+
+def _record_channel_meta(monkeypatch) -> list:
+    metas = []
+    build = cli.logical_channel
+
+    def recorded(*args, **kwargs):
+        ch = build(*args, **kwargs)
+        metas.append(dict(ch.meta))
+        return ch
+
+    monkeypatch.setattr(cli, "logical_channel", recorded)
+    return metas
+
+
+def test_zero_infidelity_alone_does_not_rerun(monkeypatch):
+    # an S = 0 window holds only the identity class, so its infidelity is an
+    # exact 0 with nothing underflowed; its S = 1 channel at 25.5 dB
+    # underflows but its infidelity (4e-123) is far above RERUN_BELOW
+    calls = _record_box_calls(monkeypatch)
+    metas = _record_channel_meta(monkeypatch)
+    row = cli.sweep_point("envelope", 25.5, 0.0, 0, 64)
+    assert row["avg_gate_infidelity"] == 0
+    assert len(calls) == 1 + 81
+    assert [(m["dps"], m["underflowed"] > 0) for m in metas] == [(None, False), (None, True)]
+    calls.clear()
+    res = cli._analysis(envelope_charfun(10 ** (-30 / 20)), SQ, CELL, 0, None)
+    assert res["infidelity"] == 0
+    assert res["meta"] == {"s_max": 0, "dps": None, "underflowed": 0}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("delta_db", [29.5, 30])
+def test_underflowed_channel_reruns_at_dps_30(monkeypatch, delta_db):
+    # at 29.5 dB the double-precision value (2.8e-306) is still right but
+    # lies below RERUN_BELOW; at 30 dB (2.2e-343) it underflows to 0
+    metas = _record_channel_meta(monkeypatch)
+    res = cli._analysis(envelope_charfun(10 ** (-delta_db / 20)), SQ, CELL, 1, None)
+    assert [m["dps"] for m in metas] == [None, 30]
+    assert metas[0]["underflowed"] > 0
+    assert res["meta"]["dps"] == 30
+    assert 0 < res["infidelity"] < cli.RERUN_BELOW
+    assert res["tp_defect"] < 1e-25 and res["min_choi_eig"] >= -1e-25
+
+
+def test_voronoi_channel_that_underflows_raises():
+    # the hexagonal code at 30 dB: quadrature coefficients underflow, and
+    # mpmath integrates box cells only, so the row refuses instead of
+    # printing an underflowed 0
+    hexc = hexagonal_code()
+    with pytest.raises(ValueError, match="box cells"):
+        cli.sweep_point("envelope", 30, 0.0, 0, 64, hexc, VoronoiCell(hexc))
+
+
+def test_smax_residual_compares_resolved_infidelities():
+    # at 18 dB 1 - F cancelled to 0 in both channels, so the residual was
+    # 0 / 0; now both infidelities are resolved.  In the envelope row the
+    # S = 2 shell lies e^-100 below the infidelity and the two channels
+    # agree to every bit; a strong loss row shows the truncation
+    row = cli.sweep_point("envelope", 18, 0.0, 1, 64)
+    assert row["avg_gate_infidelity"] == pytest.approx(3.180572879600294736e-23, rel=1e-9)
+    assert 0 <= row["smax_residual"] < 1e-6
+    row = cli.sweep_point("loss", 18, 0.1, 1, 64)
+    assert 0 < row["smax_residual"] < 1e-6
 
 
 # ---------------------------------------------------------------------------

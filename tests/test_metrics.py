@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkpsim.charfun import compose, envelope_charfun, loss_charfun
+from gkpsim.charfun import compose, envelope_charfun, loss_charfun, random_displacement_charfun
 from gkpsim.fock import build_approx_codeword, codeword_gram
 from gkpsim.lattice import square_code, voronoi_box
 from gkpsim.logical import LogicalSuperop, TruncationSpec, logical_channel
 from gkpsim.metrics import (
     average_gate_fidelity,
+    average_gate_infidelity,
     bloch_and_octahedron,
     cptp_diagnostics,
     fock_qubit_baseline,
@@ -150,11 +153,13 @@ def test_fidelity_depolarizing():
         ((1, 1), (1, 1)): p / 4,
     })
     assert average_gate_fidelity(dep) == pytest.approx(1 - p / 2, abs=1e-12)
+    assert average_gate_infidelity(dep) == pytest.approx(p / 2, rel=1e-14)
 
 
 def test_fidelity_x_channel():
     xch = LogicalSuperop.from_pauli_pairs((2,), {((1, 0), (1, 0)): 1.0 + 0j})
     assert average_gate_fidelity(xch) == pytest.approx(1 / 3, abs=1e-12)
+    assert average_gate_infidelity(xch) == pytest.approx(2 / 3, rel=1e-14)
 
 
 def test_fidelity_affine_in_channel():
@@ -173,6 +178,21 @@ def test_fidelity_affine_in_channel():
         f1 = average_gate_fidelity(LogicalSuperop.from_pauli_pairs((2,), e1))
         f2 = average_gate_fidelity(LogicalSuperop.from_pauli_pairs((2,), e2))
         assert f_mix == pytest.approx(lam * f1 + (1 - lam) * f2, abs=1e-12)
+
+
+@pytest.mark.parametrize("noise", ["envelope", "loss", "displacement"])
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(st.floats(6, 14))
+def test_diagonal_sum_is_one_minus_chi00(noise, delta_db):
+    # for a trace-preserving chi, sum_{a != I} chi[a, a] = 1 - chi[0, 0]
+    env = envelope_charfun(10 ** (-delta_db / 20))
+    cf = {"envelope": env, "loss": compose(loss_charfun(0.01), env),
+          "displacement": compose(random_displacement_charfun(0.1), env)}[noise]
+    _, och = lowdin_orthonormalize(logical_channel(SQ, CELL, cf, TruncationSpec(1)))
+    d = och.d_total
+    diagonal_sum = (d + 1) / d * average_gate_infidelity(och)
+    assert abs(diagonal_sum - (1 - och.chi[0, 0].real)) < 1e-13
+    assert abs(average_gate_infidelity(och) - (1 - average_gate_fidelity(och))) < 1e-13
 
 
 def test_cptp_diagnostics_identity():
