@@ -8,7 +8,9 @@ with 17 significant digits.
 Sweep rows report the cancellation-free average gate infidelity
 (metrics.average_gate_infidelity).  Each channel is built in double
 precision, and rebuilt at FALLBACK_DPS digits only when its integrals
-underflowed and its infidelity is small enough for them to matter.
+underflowed and its infidelity is small enough for them to matter.  A
+channel on a quadrature cell is rebuilt at higher quadrature orders until
+its error estimate is small against its infidelity.
 """
 
 from __future__ import annotations
@@ -65,6 +67,19 @@ from .symplectic import standard_form
 RERUN_BELOW = 1e-290
 FALLBACK_DPS = 30
 
+# Cells other than a BoxCell integrate by Gauss-Legendre rules of a given
+# order, checked against 1.5 times that order.  Deep rows rest on Gaussians
+# (dephasing terms, or tails at the cell edge) narrower than the nodes of
+# order 40: on the square code's Voronoi cell a 26 dB envelope row came out
+# 2e-5 relative off the closed form on voronoi_box, and a 26 dB dephasing
+# row 2e-8 off.  A channel whose quadrature error estimate (meta["quad_err"])
+# exceeds QUAD_REL_ERR of its infidelity is built again at the next order,
+# and a row still above it at the last order raises.  The estimate is the
+# lower order's error, so it overstates that of the value kept: envelope
+# rows go to order 80 from about 20 dB, to 160 at 26 dB, and raise at 29 dB.
+QUAD_ORDERS = (40, 80, 160)
+QUAD_REL_ERR = 1e-9
+
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -97,29 +112,38 @@ def _build_charfun(noise: str, delta: float, param: float, nodes: int):
     raise ValueError(f"unknown noise family {noise!r}")
 
 
-def _analysis(cf, code, cell, s_max: int, dps) -> dict:
-    """Metrics of the Loewdin-orthonormalized channel at truncation s_max, at
-    dps digits or in double precision (dps None); a double-precision channel
-    whose integrals underflowed and whose infidelity lies below RERUN_BELOW
-    is rebuilt at FALLBACK_DPS digits.  meta is the reported channel's."""
-    _, och = lowdin_orthonormalize(logical_channel(code, cell, cf, TruncationSpec(s_max), dps=dps))
-    infid = average_gate_infidelity(och)
-    if dps is None and och.meta["underflowed"] and infid < RERUN_BELOW:
-        return _analysis(cf, code, cell, s_max, FALLBACK_DPS)
+def _analysis(cf, code, cell, s_max: int) -> dict:
+    """Metrics of the Loewdin-orthonormalized channel at truncation s_max.  The
+    channel is built in double precision, and built again at FALLBACK_DPS
+    digits when its integrals underflowed and its infidelity lies below
+    RERUN_BELOW, or at a higher quadrature order while its quadrature error
+    estimate exceeds QUAD_REL_ERR of its infidelity."""
+    trunc = TruncationSpec(s_max)
+    for order in QUAD_ORDERS:
+        _, och = lowdin_orthonormalize(logical_channel(code, cell, cf, trunc, quad_order=order))
+        infid = average_gate_infidelity(och)
+        if och.meta["underflowed"] and infid < RERUN_BELOW:
+            # mpmath refuses quadrature cells, so an underflowed one raises here
+            _, och = lowdin_orthonormalize(logical_channel(code, cell, cf, trunc, dps=FALLBACK_DPS))
+            infid = average_gate_infidelity(och)
+        if och.meta["quad_err"] <= QUAD_REL_ERR * abs(infid):
+            break
+    else:
+        raise ValueError(f"cell quadrature not converged at order {QUAD_ORDERS[-1]}: error "
+                         f"estimate {och.meta['quad_err']:.2e} against infidelity {infid:.3e}")
     tp, choi = cptp_diagnostics(och)
-    return {"infidelity": infid, "tp_defect": tp, "min_choi_eig": choi, "meta": och.meta}
+    return {"infidelity": infid, "tp_defect": tp, "min_choi_eig": choi}
 
 
 def sweep_point(noise: str, delta_db: float, param: float, s_max: int, nodes: int,
                 code=None, cell=None):
     """One sweep row: orthonormalized logical-channel metrics plus the
-    truncation residual at s_max + 1, each channel in double precision unless
-    it underflowed (see _analysis)."""
+    truncation residual at s_max + 1, each channel built as _analysis says."""
     code = square_code() if code is None else code
     cell = voronoi_box(code) if cell is None else cell
     delta = _delta_from_db(delta_db)
     cf = _build_charfun(noise, delta, param, nodes)
-    res, res2 = (_analysis(cf, code, cell, s, None) for s in (s_max, s_max + 1))
+    res, res2 = (_analysis(cf, code, cell, s) for s in (s_max, s_max + 1))
     infid, infid2 = res["infidelity"], res2["infidelity"]
     residual = abs(infid - infid2) / infid2 if infid2 > 0 else 0.0
     return {

@@ -12,13 +12,17 @@ and when it returns.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
 
-Channels are built in double precision.  An integral whose Gaussian
+Channels are built in double precision.  A 1D factor whose erf arguments
+would overflow it is built from endpoint values of the integrand and the
+Faddeeva function instead (_endpoint_parts).  An integral whose Gaussian
 integrand is nonzero but comes out exactly 0 has underflowed, and
-logical_channel counts these in meta["underflowed"].  Passing a digit count
-dps is the fallback for such a channel: the box integrals then run in a
-private mpmath context at that precision, whose exponent is unbounded, so a
-fixed ~30 digits serve however deep the squeezing; chi is then an object
-array of mpmath numbers and the same metrics apply.
+logical_channel counts these in meta["underflowed"]; on quadrature cells
+it records an error estimate of the non-identity diagonal in
+meta["quad_err"].  Passing a digit count dps is the fallback for an
+underflowed channel: the box integrals then run in a private mpmath context
+at that precision, whose exponent is unbounded, so a fixed ~30 digits serve
+however deep the squeezing; chi is then an object array of mpmath numbers
+and the same metrics apply.
 """
 
 from __future__ import annotations
@@ -148,9 +152,45 @@ def _gaussian_1d_parts(ctx, q, b, lo, hi):
         b = scalar(b)
         sq = m.sqrt(q)
         center = b / (2 * q)
-        pref = m.sqrt(m.pi) / (2 * sq) * _erf_diff(ctx, sq * (lo - center), sq * (hi - center))
-        memo[key] = b * b / (4 * q), pref
+        z1, z2 = sq * (lo - center), sq * (hi - center)
+        if ctx is None and max((-z1 * z1).real, (-z2 * z2).real) > ERF_GROWTH_MAX:
+            memo[key] = _endpoint_parts(q, b, sq, z1, z2, lo, hi)
+        else:
+            pref = m.sqrt(m.pi) / (2 * sq) * _erf_diff(ctx, z1, z2)
+            memo[key] = b * b / (4 * q), pref
     return memo[key]
+
+
+# |erf(z)| grows like |exp(-z^2)|.  Past exp(100) per factor the split form of
+# _gaussian_1d_parts, a huge erf difference times a tiny exp(b^2/4q), can
+# overflow double precision in a product of a few coordinates (a 22 dB
+# dephasing row has factors near exp(600)), so _endpoint_parts takes over.
+# Below it the split form stays: near z = 0 a difference of erf values keeps
+# the relative precision that a difference of erfc values, each near 1, loses.
+ERF_GROWTH_MAX = 100.0
+
+
+def _endpoint_parts(q, b, sq, z1, z2, lo, hi):
+    """The double-precision (exponent, prefactor) of _gaussian_1d_parts, built
+    from the Faddeeva function w(z) = exp(-z^2) erfc(-iz) instead of erf.
+
+    With z = sqrt(q) (x - b/2q) and E(x) = -q x^2 + b x,
+    exp(b^2/4q) erfc(z) = exp(E(x)) w(iz), and |w(iz)| <= 1 where Re z >= 0, so
+    every term is an endpoint value of the integrand (or, when the Gaussian
+    centre lies between the endpoints, its peak exp(b^2/4q)) times a bounded
+    factor.  The exponent is the largest real part among the terms.
+    """
+    wofz = scipy.special.wofz
+    e_lo, e_hi = -q * lo * lo + b * lo, -q * hi * hi + b * hi
+    if z1.real >= 0:  # erf(z2) - erf(z1) = erfc(z1) - erfc(z2)
+        terms = [(e_lo, wofz(1j * z1)), (e_hi, -wofz(1j * z2))]
+    elif z2.real <= 0:  # = erfc(-z2) - erfc(-z1)
+        terms = [(e_hi, wofz(-1j * z2)), (e_lo, -wofz(-1j * z1))]
+    else:  # = 2 - erfc(-z1) - erfc(z2)
+        terms = [(b * b / (4 * q), 2.0), (e_lo, -wofz(-1j * z1)), (e_hi, -wofz(1j * z2))]
+    top = max(e.real for e, _ in terms)
+    pref = np.sqrt(np.pi) / (2 * sq) * sum(c * np.exp(e - top) for e, c in terms)
+    return top, pref
 
 
 def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t, ctx=None):
@@ -418,8 +458,11 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                         trunc: TruncationSpec = TruncationSpec(1), dps: int | None = None,
                         quad_order: int = 40) -> tuple:
     """Raw Pauli-pair coefficients {(s, t): c_{s,t}} over the truncation window,
-    cell integrals of c_{s,t}(v, v) summed over the kernel terms, and the
-    number of (pair, term) integrals that underflowed.
+    cell integrals of c_{s,t}(v, v) summed over the kernel terms, and a dict
+    of how far to trust them: "underflowed", the number of (pair, term)
+    integrals that underflowed, and "quad_err", the summed quadrature error
+    estimates of the pairs that fold onto the non-identity diagonal of chi
+    (0 on box cells), which bounds the error of sum_{a != I} chi_aa.
 
     Box cells integrate in closed form, in double precision when dps is None
     and otherwise in a private mpmath context at dps digits (the global
@@ -439,8 +482,10 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
         ctx.dps = dps
     scalar = complex if ctx is None else ctx.mpc
     coeffs = {(s, t): scalar(0.0) for s in window for t in window}
+    fold = {s: _fold(code.dims, s)[0] for s in window}
     memo = {}
     underflowed = 0
+    quad_err = 0.0
     token = _FACTORS.set(memo)
     try:
         for w, kern in cf.terms:
@@ -451,13 +496,15 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                 if use_box:
                     val = box_cell_integral(kern, code, cell, s, t, ctx)
                 else:
-                    val, _ = numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
+                    val, err = numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
+                    if fold[s] == fold[t] != 0:
+                        quad_err += abs(w) * err
                 if val == 0 and (kern.kind == FULL or (kern.kind == DIAG_DELTA and s == t)):
                     underflowed += 1
                 coeffs[(s, t)] = coeffs[(s, t)] + scalar(w) * val
     finally:
         _FACTORS.reset(token)
-    return coeffs, underflowed
+    return coeffs, {"underflowed": underflowed, "quad_err": quad_err}
 
 
 def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
@@ -466,11 +513,12 @@ def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     """Logical noise channel of cf on the code/cell decoder: decay precheck,
     window coefficients (in double precision, or at dps digits), then the
     fold into chi (fixed, sorted summation order for reproducibility).
-    meta records s_max, dps and the count of underflowed integrals."""
+    meta records s_max, dps, and the "underflowed" and "quad_err" of
+    window_coefficients."""
     _decay_precheck(cf, code, trunc.s_max)
-    coeffs, underflowed = window_coefficients(code, cell, cf, trunc, dps, quad_order)
+    coeffs, trust = window_coefficients(code, cell, cf, trunc, dps, quad_order)
     ch = LogicalSuperop.from_pauli_pairs(code.dims, coeffs)
-    ch.meta = {"s_max": trunc.s_max, "dps": dps, "underflowed": underflowed}
+    ch.meta = {"s_max": trunc.s_max, "dps": dps, **trust}
     return ch
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -170,6 +172,23 @@ def test_composed_kernels_stay_analytic():
             assert got == pytest.approx(_coeff_quadrature(kern, s, t), rel=1e-9)
 
 
+@pytest.mark.parametrize("re_b", [-3.0, 0.0, 3.0])
+def test_gaussian_1d_factor_where_erf_overflows(re_b):
+    # z = sqrt(q) (x - b/2q) = 0.1 x - 5 b has Im z = -30 and |Re z| <= 15,
+    # so erf(z) grows like e^675 or more and the erf-difference form would
+    # overflow in a product of coordinates; the endpoint form keeps a
+    # finite prefactor.  Re b puts Re z right of 0, across it and left of
+    # it on the interval (the three branches of _endpoint_parts)
+    q, b, lo, hi = 0.01, complex(re_b, 6.0), -0.35, 0.35
+    exponent, pref = logical._gaussian_1d_parts(None, q, b, lo, hi)
+    assert abs(pref) < 1e3
+    ctx = mp.MPContext()
+    ctx.dps = 30
+    exact = ctx.quad(lambda x: ctx.exp(-q * x * x + ctx.mpc(b) * x), [lo, hi])
+    got = pref * np.exp(exponent)
+    assert abs(got - complex(exact)) <= 1e-13 * abs(complex(exact))
+
+
 def test_numeric_cell_integral_agrees_with_box():
     kern = envelope_charfun(0.5).terms[0][1]
     for s, t in [((0, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 1), (-1, 0))]:
@@ -328,8 +347,8 @@ def test_truncation_residual_monotone():
 
 def test_coefficient_decay_is_exponential():
     # |coeff(s,t)| <= coeff(0,0) exp(-c (|s|^2 + |t|^2)) with fitted c > 0
-    coeffs, underflowed = window_coefficients(SQ, CELL, envelope_charfun(0.5), TruncationSpec(2))
-    assert underflowed == 0
+    coeffs, trust = window_coefficients(SQ, CELL, envelope_charfun(0.5), TruncationSpec(2))
+    assert trust == {"underflowed": 0, "quad_err": 0.0}
     c00 = abs(coeffs[((0, 0), (0, 0))])
     rates = []
     for (s, t), c in coeffs.items():
@@ -461,9 +480,10 @@ def test_zero_infidelity_alone_does_not_rerun(monkeypatch):
     assert len(calls) == 1 + 81
     assert [(m["dps"], m["underflowed"] > 0) for m in metas] == [(None, False), (None, True)]
     calls.clear()
-    res = cli._analysis(envelope_charfun(10 ** (-30 / 20)), SQ, CELL, 0, None)
+    metas.clear()
+    res = cli._analysis(envelope_charfun(10 ** (-30 / 20)), SQ, CELL, 0)
     assert res["infidelity"] == 0
-    assert res["meta"] == {"s_max": 0, "dps": None, "underflowed": 0}
+    assert metas == [{"s_max": 0, "dps": None, "underflowed": 0, "quad_err": 0.0}]
     assert len(calls) == 1
 
 
@@ -472,10 +492,9 @@ def test_underflowed_channel_reruns_at_dps_30(monkeypatch, delta_db):
     # at 29.5 dB the double-precision value (2.8e-306) is still right but
     # lies below RERUN_BELOW; at 30 dB (2.2e-343) it underflows to 0
     metas = _record_channel_meta(monkeypatch)
-    res = cli._analysis(envelope_charfun(10 ** (-delta_db / 20)), SQ, CELL, 1, None)
+    res = cli._analysis(envelope_charfun(10 ** (-delta_db / 20)), SQ, CELL, 1)
     assert [m["dps"] for m in metas] == [None, 30]
     assert metas[0]["underflowed"] > 0
-    assert res["meta"]["dps"] == 30
     assert 0 < res["infidelity"] < cli.RERUN_BELOW
     assert res["tp_defect"] < 1e-25 and res["min_choi_eig"] >= -1e-25
 
@@ -487,6 +506,49 @@ def test_voronoi_channel_that_underflows_raises():
     hexc = hexagonal_code()
     with pytest.raises(ValueError, match="box cells"):
         cli.sweep_point("envelope", 30, 0.0, 0, 64, hexc, VoronoiCell(hexc))
+
+
+@pytest.mark.parametrize("delta_db, sigma2", [(22, 1e-3), (26, 1e-4)])
+def test_dephasing_rows_where_erf_overflows_match_mpmath(delta_db, sigma2):
+    # these rows' 1D factors have |Im z| up to ~25, where the erf-difference
+    # form overflowed and the -745 cutoff zeroed integrals that are not small
+    # (1.3e-6 and 1.6e-5 relative off); the row needs no rerun, so the
+    # double-precision value itself must be right
+    cf = cli._build_charfun("dephasing", 10 ** (-delta_db / 20), sigma2, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = cli._analysis(cf, SQ, CELL, 1)
+    ref = highprec_channel_analysis(cf, SQ, CELL, TruncationSpec(1), dps=40)["infidelity"]
+    assert abs(res["infidelity"] - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("delta_db", [20, 26])
+def test_voronoi_quadrature_matches_box_closed_form(monkeypatch, delta_db):
+    # the square code's Voronoi cell is its box, integrated by quadrature;
+    # at 26 dB order 40 is 2e-5 relative off, and the error estimate sends
+    # the channel to higher orders until it is resolved
+    metas = _record_channel_meta(monkeypatch)
+    cf = envelope_charfun(10 ** (-delta_db / 20))
+    quad = cli._analysis(cf, SQ, VoronoiCell(SQ), 1)["infidelity"]
+    assert len(metas) > 1
+    assert metas[-1]["quad_err"] <= cli.QUAD_REL_ERR * quad
+    box = cli._analysis(cf, SQ, CELL, 1)["infidelity"]
+    assert abs(quad - box) <= 1e-9 * box
+
+
+def test_quadrature_row_keeps_its_first_order_when_resolved(monkeypatch):
+    metas = _record_channel_meta(monkeypatch)
+    hexc = hexagonal_code()
+    cli.sweep_point("loss", 12, 0.01, 0, 64, hexc, VoronoiCell(hexc))
+    assert len(metas) == 2
+    assert metas[0]["quad_err"] == 0  # S = 0 has no non-identity pair
+    assert 0 < metas[1]["quad_err"]
+
+
+def test_unresolved_quadrature_row_raises(monkeypatch):
+    monkeypatch.setattr(cli, "QUAD_ORDERS", (40,))
+    with pytest.raises(ValueError, match="not converged at order 40"):
+        cli._analysis(envelope_charfun(10 ** (-26 / 20)), SQ, VoronoiCell(SQ), 1)
 
 
 def test_smax_residual_compares_resolved_infidelities():
