@@ -5,10 +5,14 @@ window_coefficients integrates the raw coefficients c_{s,t} of
 N(rho) = sum_{s,t} c_{s,t} P(s) rho P(t)^dag over a truncated dual-lattice
 window: box cells analytically (per-coordinate complex Gaussians via the
 complex error function), other bounded cells by tensor/triangle quadrature.
-On a box cell c_{s,t} is a product of 1D factors that many (s, t) pairs
-share, so window_coefficients computes each distinct factor of a kernel term
-once (keyed by its exact arguments) and forgets them before the next term
-and when it returns.
+Only b_v and const of the restricted exponent change from one (s, t) pair
+to the next, so window_coefficients computes the rest of each kernel term
+once: the restricted form Q_v, the box cell's axis-aligned and decay checks
+of it, every quadrature rule with p^T Q_v p on its points, the dual vectors,
+and each distinct 1D factor of a box integral (a product of factors that many
+pairs share, keyed by their exact arguments).  It forgets them before the
+next term and when it returns; each (pair, term) still makes one
+box_cell_integral or numeric_cell_integral call.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
 
@@ -28,6 +32,7 @@ and the same metrics apply.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -99,52 +104,109 @@ class TruncationSpec:
 # cell integrals
 
 
-def _diag_quadratic(kernel: GaussianKernel, code: GkpCode, s, t):
-    """Exponent of c_{s,t}(v, v) as (Q_v, b_v, const) in v, or None where it vanishes.
-
-    FULL: c_{s,t}(u,v) = c(u + lbar(s), v + lbar(t)) e^{i pi (u^T Om lbar(s) - v^T Om lbar(t))}.
-    DIAG_DELTA: the density f(v + lbar(s)), present only for lbar(s) = lbar(t).
-    """
-    ls = code.dual_vector(s)
-    if kernel.kind == DIAG_DELTA:
-        if not np.array_equal(np.asarray(s, dtype=np.int64), np.asarray(t, dtype=np.int64)):
-            return None
-        q, lin = kernel.q_matrix, kernel.linear
-        return q, 2 * q @ ls + lin, ls @ q @ ls + lin @ ls
-    if kernel.kind != FULL:
-        raise ValueError(f"cannot cell-integrate a kernel of kind {kernel.kind}")
-    n = kernel.n_modes
-    om = omega(n)
-    lt = code.dual_vector(t)
-    j = np.vstack([np.eye(2 * n), np.eye(2 * n)])
-    c0 = np.concatenate([ls, lt])
-    qv = j.T @ kernel.q_matrix @ j
-    bv = 2 * j.T @ kernel.q_matrix @ c0 + j.T @ kernel.linear + 1j * np.pi * (om @ (ls - lt))
-    const = c0 @ kernel.q_matrix @ c0 + kernel.linear @ c0
-    return qv, bv, const
-
-
 def _point_value(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell, s, t):
     """A POINT kernel contributes amp when -lbar(s) and -lbar(t) both lie in the cell."""
     inside = cell.contains(-code.dual_vector(s)) and cell.contains(-code.dual_vector(t))
     return kernel.amp if inside else 0.0
 
 
-# The 1D factors of the kernel term that window_coefficients is integrating,
-# keyed by their exact arguments; unset outside that call, so nothing outlives it.
-_FACTORS: contextvars.ContextVar[dict] = contextvars.ContextVar("_FACTORS")
+class _TermWork:
+    """What the cell integrals of one kernel term on one code and cell share
+    over every (s, t) pair: the restricted quadratic form, its checked box
+    diagonal, each quadrature rule with p^T Q_v p on its points, the dual
+    vectors lbar(s) and the distinct 1D factors.  Each is computed the first
+    time a pair needs it.
+    """
+
+    def __init__(self, kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell):
+        self.kernel, self.code, self.cell = kernel, code, cell
+        self.duals = {}  # tuple(s) -> lbar(s)
+        self.factors = {}  # (q, b, lo, hi) -> _gaussian_1d_parts
+        self.rules = {}  # order -> (points, weights, p^T Q_v p)
+
+    @functools.cached_property
+    def restricted(self):
+        """(Q_v, 2 J^T Q, J^T L, omega(n)), with J = (1, 1)^T the restriction
+        to u = v; J is the identity for DIAG_DELTA (omega None)."""
+        kernel = self.kernel
+        if kernel.kind == DIAG_DELTA:
+            q = kernel.q_matrix
+            return q, 2 * q, kernel.linear, None
+        if kernel.kind != FULL:
+            raise ValueError(f"cannot cell-integrate a kernel of kind {kernel.kind}")
+        n = kernel.n_modes
+        j = np.vstack([np.eye(2 * n), np.eye(2 * n)])
+        qv = j.T @ kernel.q_matrix @ j
+        return qv, 2 * j.T @ kernel.q_matrix, j.T @ kernel.linear, omega(n)
+
+    def dual(self, s) -> np.ndarray:
+        """lbar(s), once per label."""
+        key = tuple(s)
+        if key not in self.duals:
+            self.duals[key] = self.code.dual_vector(s)
+        return self.duals[key]
+
+    def form(self, s, t):
+        """(b_v, const) of the exponent v^T Q_v v + b_v^T v + const of
+        c_{s,t}(v, v), or None where it vanishes.
+
+        FULL: c_{s,t}(u,v) = c(u + lbar(s), v + lbar(t)) e^{i pi (u^T Om lbar(s) - v^T Om lbar(t))}.
+        DIAG_DELTA: the density f(v + lbar(s)), present only for lbar(s) = lbar(t).
+        """
+        _, two_jq, jl, om = self.restricted
+        q, lin = self.kernel.q_matrix, self.kernel.linear
+        ls = self.dual(s)
+        if om is None:
+            if not np.array_equal(np.asarray(s, dtype=np.int64), np.asarray(t, dtype=np.int64)):
+                return None
+            return two_jq @ ls + lin, ls @ q @ ls + lin @ ls
+        lt = self.dual(t)
+        c0 = np.concatenate([ls, lt])
+        return two_jq @ c0 + jl + 1j * np.pi * (om @ (ls - lt)), c0 @ q @ c0 + lin @ c0
+
+    @functools.cached_property
+    def box_diag(self):
+        """The diagonal of Q_v, which must be all of it and decay on every axis."""
+        qv = self.restricted[0]
+        scale = max(1.0, float(np.max(np.abs(qv))))
+        if np.max(np.abs(qv - np.diag(np.diag(qv)))) > 1e-10 * scale:
+            raise ValueError("diagonal-restricted form is not axis-aligned; use numeric_cell_integral")
+        diag = np.diag(qv)
+        if np.any(diag.real >= 0):
+            raise ValueError("diagonal-restricted form is not decaying; cell integral diverges")
+        return diag
+
+    def rule(self, order: int):
+        """(points, weights, p^T Q_v p) of the cell rule of the given order."""
+        if order not in self.rules:
+            pts, wts = _cell_quadrature_points(self.cell, order)
+            qv = self.restricted[0]
+            self.rules[order] = pts, wts, np.einsum("ki,ij,kj->k", pts, qv, pts)
+        return self.rules[order]
 
 
-def _gaussian_1d_parts(ctx, q, b, lo, hi):
+# The _TermWork of the kernel term that window_coefficients is integrating;
+# unset outside that call, so nothing outlives it.
+_TERM_WORK: contextvars.ContextVar[_TermWork] = contextvars.ContextVar("_TERM_WORK")
+
+
+def _term_work(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell) -> _TermWork:
+    """window_coefficients' work for this very kernel, code and cell, or else a
+    fresh one that only the calling integral uses."""
+    work = _TERM_WORK.get(None)
+    if work is not None and work.kernel is kernel and work.code is code and work.cell is cell:
+        return work
+    return _TermWork(kernel, code, cell)
+
+
+def _gaussian_1d_parts(ctx, q, b, lo, hi, memo: dict):
     """(exponent, prefactor) with int_lo^hi exp(-q x^2 + b x) dx = prefactor * exp(exponent).
 
     Split so callers can sum exponents across coordinates before
     exponentiating; the factored form overflows double precision in the
-    deeply squeezed regime even though the product is tiny.  Within one
-    kernel term of window_coefficients a repeated (q, b, lo, hi) returns the
-    first result.
+    deeply squeezed regime even though the product is tiny.  A repeated
+    (q, b, lo, hi) returns the first result stored in memo.
     """
-    memo = _FACTORS.get({})
     key = (complex(q), complex(b), float(lo), float(hi))
     if key not in memo:
         m, scalar = (np, complex) if ctx is None else (ctx, ctx.mpc)
@@ -200,25 +262,24 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     Requires the diagonal-restricted quadratic form to be axis-diagonal (true
     for every isotropic single-mode kernel family here).  Delta-constrained
     kernels follow their density conventions: DIAG_DELTA contributes only for
-    lbar(s) = lbar(t), POINT only when the point falls in the cell.
+    lbar(s) = lbar(t), POINT only when the point falls in the cell.  Inside
+    window_coefficients the restricted form, its two checks and the 1D
+    factors come from the term's shared work; on its own the call does all
+    of it, so it stays the per-pair oracle.
     """
     m, scalar = (np, complex) if ctx is None else (ctx, ctx.mpc)
     if kernel.kind == POINT:
         return scalar(_point_value(kernel, code, cell, s, t))
-    form = _diag_quadratic(kernel, code, s, t)
+    work = _term_work(kernel, code, cell)
+    form = work.form(s, t)
     if form is None:
         return scalar(0.0)
-    qv, bv, const = form
-    scale = max(1.0, float(np.max(np.abs(qv))))
-    if np.max(np.abs(qv - np.diag(np.diag(qv)))) > 1e-10 * scale:
-        raise ValueError("diagonal-restricted form is not axis-aligned; use numeric_cell_integral")
-    diag = np.diag(qv)
-    if np.any(diag.real >= 0):
-        raise ValueError("diagonal-restricted form is not decaying; cell integral diverges")
+    bv, const = form
+    diag = work.box_diag
     exponent = scalar(const)
     pref = scalar(kernel.amp)
     for i, (lo, hi) in enumerate(cell.intervals):
-        ex, pf = _gaussian_1d_parts(ctx, -diag[i], bv[i], lo, hi)
+        ex, pf = _gaussian_1d_parts(ctx, -diag[i], bv[i], lo, hi, work.factors)
         exponent = exponent + ex
         pref = pref * pf
     if ctx is None and exponent.real < -745.0:
@@ -262,11 +323,10 @@ def _cell_quadrature_points(cell: PrimitiveCell, order: int):
     raise ValueError(f"no quadrature rule for cell type {type(cell).__name__} in dim {cell.dim}")
 
 
-def _quadrature(amp, form, cell: PrimitiveCell, order: int) -> complex:
-    """amp * exp(v^T Q v + b^T v + const) integrated by the cell rule of the given order."""
-    qv, bv, const = form
-    pts, wts = _cell_quadrature_points(cell, order)
-    quad = np.einsum("ki,ij,kj->k", pts, qv, pts)
+def _quadrature(amp, form, rule) -> complex:
+    """amp * exp(v^T Q v + b^T v + const) integrated by rule = (points, weights, p^T Q p)."""
+    bv, const = form
+    pts, wts, quad = rule
     return complex(amp * np.exp(quad + pts @ bv + const) @ wts)
 
 
@@ -276,15 +336,19 @@ def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: Primitive
 
     The estimate compares two quadrature orders; if it exceeds 1e-9 times
     max(1, |value|) a warning is issued (never silently swallowed).  POINT
-    kernels integrate exactly by cell membership.
+    kernels integrate exactly by cell membership.  Inside window_coefficients
+    the restricted form and both rules, with p^T Q_v p on their points, come
+    from the term's shared work; on its own the call builds them, so it stays
+    the per-pair oracle.
     """
     if kernel.kind == POINT:
         return complex(_point_value(kernel, code, cell, s, t)), 0.0
-    form = _diag_quadratic(kernel, code, s, t)
+    work = _term_work(kernel, code, cell)
+    form = work.form(s, t)
     if form is None:
         return 0j, 0.0
-    v1 = _quadrature(kernel.amp, form, cell, order)
-    v2 = _quadrature(kernel.amp, form, cell, order + order // 2)
+    v1 = _quadrature(kernel.amp, form, work.rule(order))
+    v2 = _quadrature(kernel.amp, form, work.rule(order + order // 2))
     err = abs(v1 - v2)
     if err > 1e-9 * max(1.0, abs(v2)):
         warnings.warn(f"cell quadrature not converged: estimate {err:.2e} at order {order}")
@@ -375,9 +439,10 @@ class LogicalSuperop:
         if dtype is object and max(dims) > 2:
             raise ValueError("mpmath channels need qubit modes, whose Pauli phases are exact")
         chi = np.full((m, m), 0 * values[0], dtype=dtype)
+        folds = {s: _fold(dims, s) for s in set(itertools.chain(*coeffs))}
         for (s, t), c in sorted(coeffs.items()):
-            i, sign_s = _fold(dims, s)
-            j, sign_t = _fold(dims, t)
+            i, sign_s = folds[s]
+            j, sign_t = folds[t]
             chi[i, j] += sign_s * sign_t * c
         return cls(dims, chi)
 
@@ -471,6 +536,13 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     integrand is not: a FULL kernel (a box integral below the -745 exponent
     cutoff, or a quadrature whose every point underflowed), or a DIAG_DELTA
     kernel on s = t.
+
+    Every (pair, term) makes one box_cell_integral or numeric_cell_integral
+    call, which gives the same bits as a call on its own.  What does not
+    depend on the pair (the restricted form and its box checks, the
+    quadrature rules with p^T Q_v p, the dual vectors and the 1D factors) is
+    computed once per kernel term, held in _TERM_WORK for that term only,
+    and dropped when the call returns or raises.
     """
     window = trunc.window(2 * code.n_modes)
     use_box = isinstance(cell, BoxCell)
@@ -483,15 +555,14 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     scalar = complex if ctx is None else ctx.mpc
     coeffs = {(s, t): scalar(0.0) for s in window for t in window}
     fold = {s: _fold(code.dims, s)[0] for s in window}
-    memo = {}
     underflowed = 0
     quad_err = 0.0
-    token = _FACTORS.set(memo)
+    token = _TERM_WORK.set(None)
     try:
         for w, kern in cf.terms:
-            # one term's factors at a time keeps the memo small for the
-            # 64-term dephasing kernel; each pair still sums its terms in order
-            memo.clear()
+            # one term's shared work at a time keeps it small for the 64-term
+            # dephasing kernel; each pair still sums its terms in order
+            _TERM_WORK.set(_TermWork(kern, code, cell))
             for s, t in coeffs:
                 if use_box:
                     val = box_cell_integral(kern, code, cell, s, t, ctx)
@@ -503,7 +574,7 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                     underflowed += 1
                 coeffs[(s, t)] = coeffs[(s, t)] + scalar(w) * val
     finally:
-        _FACTORS.reset(token)
+        _TERM_WORK.reset(token)
     return coeffs, {"underflowed": underflowed, "quad_err": quad_err}
 
 

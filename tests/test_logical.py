@@ -9,6 +9,8 @@ from scipy.integrate import dblquad
 from scipy.special import erf as _scipy_erf
 
 from gkpsim.charfun import (
+    ChannelCharFn,
+    GaussianKernel,
     compose,
     dephased_envelope_charfun,
     envelope_charfun,
@@ -40,6 +42,8 @@ from gkpsim.metrics import (
 
 SQ = square_code()
 CELL = voronoi_box(SQ)
+HEX = hexagonal_code()
+HEX_CELL = VoronoiCell(HEX)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +111,9 @@ def _envelope_coeff_closed(s, t, delta):
 
 
 def _coeff_quadrature(kernel, s, t):
-    from gkpsim.logical import _diag_quadratic
-
-    qv, bv, const = _diag_quadratic(kernel, SQ, s, t)
+    work = logical._TermWork(kernel, SQ, CELL)
+    qv = work.restricted[0]
+    bv, const = work.form(s, t)
     a = 2 ** -1.5
 
     def f(x, y):
@@ -180,7 +184,7 @@ def test_gaussian_1d_factor_where_erf_overflows(re_b):
     # finite prefactor.  Re b puts Re z right of 0, across it and left of
     # it on the interval (the three branches of _endpoint_parts)
     q, b, lo, hi = 0.01, complex(re_b, 6.0), -0.35, 0.35
-    exponent, pref = logical._gaussian_1d_parts(None, q, b, lo, hi)
+    exponent, pref = logical._gaussian_1d_parts(None, q, b, lo, hi, {})
     assert abs(pref) < 1e3
     ctx = mp.MPContext()
     ctx.dps = 30
@@ -228,9 +232,9 @@ def _counted_window(monkeypatch, *args, **kwargs):
         erf_diffs.append(a)
         return erf_diff(*a)
 
-    def recorded_parts(ctx, q, b, lo, hi):
+    def recorded_parts(ctx, q, b, lo, hi, memo):
         keys.append((complex(q), complex(b), float(lo), float(hi)))
-        return parts(ctx, q, b, lo, hi)
+        return parts(ctx, q, b, lo, hi, memo)
 
     with monkeypatch.context() as patch:
         patch.setattr(logical, "_erf_diff", counted_erf_diff)
@@ -278,21 +282,116 @@ def test_window_coefficients_are_bit_identical_to_per_pair_integrals():
     assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
 
 
+def _two_terms():
+    """A two-term kernel: loss after the envelope, and the envelope alone."""
+    env = envelope_charfun(10 ** (-10 / 20))
+    return ChannelCharFn(1, [(0.5 + 0j, compose(loss_charfun(0.01), env).terms[0][1]),
+                             (0.5 + 0j, env.terms[0][1])])
+
+
 def test_window_memo_does_not_outlive_the_call(monkeypatch):
     cf = envelope_charfun(10 ** (-12 / 20))
     first, erf_first, keys = _counted_window(monkeypatch, SQ, CELL, cf, TruncationSpec(1), dps=30)
     second, erf_second, _ = _counted_window(monkeypatch, SQ, CELL, cf, TruncationSpec(1), dps=30)
     assert erf_first == erf_second == len(set(keys)) > 0
     assert first == second
-    assert logical._FACTORS.get(None) is None
+    assert logical._TERM_WORK.get(None) is None
+    # the quadrature path builds each rule once per call and kernel term
+    rules = []
+    build = logical._cell_quadrature_points
 
-    def failing_box(*args):
-        raise RuntimeError("box integral failed")
+    def counted_rule(cell, order):
+        rules.append(order)
+        return build(cell, order)
 
-    monkeypatch.setattr(logical, "box_cell_integral", failing_box)
-    with pytest.raises(RuntimeError, match="box integral failed"):
+    two_terms = _two_terms()
+    with monkeypatch.context() as patch:
+        patch.setattr(logical, "_cell_quadrature_points", counted_rule)
+        quad = [window_coefficients(HEX, HEX_CELL, two_terms, TruncationSpec(1), quad_order=20)
+                for _ in range(2)]
+    assert rules == [20, 30] * 4
+    assert quad[0] == quad[1]
+    assert logical._TERM_WORK.get(None) is None
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("cell integral failed")
+
+    for name, code, cell in (("box_cell_integral", SQ, CELL), ("numeric_cell_integral", HEX, HEX_CELL)):
+        monkeypatch.setattr(logical, name, failing)
+        with pytest.raises(RuntimeError, match="cell integral failed"):
+            window_coefficients(code, cell, cf, TruncationSpec(1))
+        assert logical._TERM_WORK.get(None) is None
+
+
+def test_shared_work_serves_only_its_own_kernel_and_cell(monkeypatch):
+    # an integral that window_coefficients did not ask for, called while it
+    # runs, on another kernel term or cell, computes its own form and rules
+    cf = _two_terms()
+    other = envelope_charfun(0.5).terms[0][1]
+    sq_voronoi = VoronoiCell(SQ)
+    pairs = [((1, 0), (0, -1)), ((0, 1), (1, 1))]
+    alone = [(box_cell_integral(other, SQ, CELL, s, t),
+              numeric_cell_integral(other, SQ, sq_voronoi, s, t, order=10),
+              numeric_cell_integral(cf.terms[1][1], SQ, sq_voronoi, s, t, order=10)) for s, t in pairs]
+    seen = []
+    box = logical.box_cell_integral
+
+    def meddling(kernel, code, cell, s, t, ctx=None):
+        seen.append([(box(other, SQ, CELL, s, t),
+                      numeric_cell_integral(other, SQ, sq_voronoi, s, t, order=10),
+                      numeric_cell_integral(cf.terms[1][1], SQ, sq_voronoi, s, t, order=10))
+                     for s, t in pairs])
+        return box(kernel, code, cell, s, t, ctx)
+
+    monkeypatch.setattr(logical, "box_cell_integral", meddling)
+    window_coefficients(SQ, CELL, cf, TruncationSpec(0))
+    assert seen == [alone] * 2
+
+
+def _per_pair_quadrature(cf, trunc, order):
+    """window_coefficients' sums and quad_err on the hexagonal Voronoi cell,
+    from numeric_cell_integral called per pair."""
+    window = trunc.window(2)
+    fold = {s: logical._fold(HEX.dims, s)[0] for s in window}
+    out = {(s, t): 0j for s in window for t in window}
+    quad_err = 0.0
+    for w, kern in cf.terms:
+        for s, t in out:
+            val, err = numeric_cell_integral(kern, HEX, HEX_CELL, s, t, order=order)
+            if fold[s] == fold[t] != 0:
+                quad_err += abs(w) * err
+            out[(s, t)] = out[(s, t)] + complex(w) * val
+    return out, quad_err
+
+
+@pytest.mark.parametrize("cf, s_max, order", [
+    (envelope_charfun(10 ** (-10 / 20)), 1, 40),
+    (compose(loss_charfun(0.01), dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=8)), 2, 10),
+], ids=["envelope-S1", "loss-dephasing8-S2"])
+def test_window_quadrature_is_bit_identical_to_per_pair_integrals(cf, s_max, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # every integral is resolved at this order
+        got, trust = window_coefficients(HEX, HEX_CELL, cf, TruncationSpec(s_max), quad_order=order)
+        expect, quad_err = _per_pair_quadrature(cf, TruncationSpec(s_max), order)
+    assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
+    assert trust == {"underflowed": 0, "quad_err": quad_err} and quad_err > 0
+
+
+# restricted to u = v, the first form couples v_1 and v_2 and the second grows
+TILTED = np.array([[-1, 0.5, 0, 0], [0.5, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+GROWING = 0.1 * np.eye(4)
+
+
+@pytest.mark.parametrize("q, match", [(TILTED, "not axis-aligned"), (GROWING, "not decaying")],
+                         ids=["tilted", "growing"])
+def test_box_checks_raise_from_the_window_on_the_first_pair(monkeypatch, q, match):
+    cf = ChannelCharFn.single(GaussianKernel(1, 1.0 + 0j, q))
+    calls = _record_box_calls(monkeypatch)
+    with pytest.raises(ValueError, match=match):
         window_coefficients(SQ, CELL, cf, TruncationSpec(1))
-    assert logical._FACTORS.get(None) is None
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match=match):
+        box_cell_integral(cf.terms[0][1], SQ, CELL, (1, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +603,9 @@ def test_voronoi_channel_that_underflows_raises():
     # mpmath integrates box cells only, so the row refuses instead of
     # printing an underflowed 0
     hexc = hexagonal_code()
-    with pytest.raises(ValueError, match="box cells"):
-        cli.sweep_point("envelope", 30, 0.0, 0, 64, hexc, VoronoiCell(hexc))
+    with pytest.warns(UserWarning, match="cell quadrature not converged.* at order 40"):
+        with pytest.raises(ValueError, match="box cells"):
+            cli.sweep_point("envelope", 30, 0.0, 0, 64, hexc, VoronoiCell(hexc))
 
 
 @pytest.mark.parametrize("delta_db, sigma2", [(22, 1e-3), (26, 1e-4)])
@@ -595,6 +695,27 @@ def test_chi_fold_matches_pauli_pair_sum(case):
     dims, coeffs = case
     got = LogicalSuperop.from_pauli_pairs(dims, coeffs).matrix()
     assert np.max(np.abs(got - _dict_sum_matrix(dims, coeffs))) < 1e-12
+
+
+def test_chi_fold_folds_each_label_once_in_sorted_pair_order(monkeypatch):
+    coeffs, _ = window_coefficients(SQ, CELL, compose(loss_charfun(0.01), envelope_charfun(0.5)),
+                                    TruncationSpec(2))
+    expect = np.zeros((4, 4), dtype=complex)
+    for (s, t), c in sorted(coeffs.items()):
+        i, sign_s = logical._fold(SQ.dims, s)
+        j, sign_t = logical._fold(SQ.dims, t)
+        expect[i, j] += sign_s * sign_t * c
+    folded = []
+    fold = logical._fold
+
+    def counted_fold(dims, s):
+        folded.append(s)
+        return fold(dims, s)
+
+    monkeypatch.setattr(logical, "_fold", counted_fold)
+    chi = LogicalSuperop.from_pauli_pairs(SQ.dims, dict(reversed(coeffs.items()))).chi
+    assert sorted(folded) == sorted(TruncationSpec(2).window(2))
+    assert chi.tobytes() == expect.tobytes()
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
