@@ -45,7 +45,6 @@ from .logical import (
     LogicalSuperop,
     TruncationSpec,
     box_cell_integral,
-    complex_erf,
     highprec_channel_analysis,
     logical_channel,
     numeric_cell_integral,
@@ -53,7 +52,6 @@ from .logical import (
     window_coefficients,
 )
 from .metrics import (
-    OrthoMatrix,
     average_gate_fidelity,
     average_gate_infidelity,
     bloch_and_octahedron,

@@ -30,6 +30,9 @@ from .charfun import (
     random_displacement_charfun,
 )
 from .lattice import (
+    _checked,
+    _integer,
+    _real,
     code_from_config,
     is_cell_invariant,
     repetition_symmetric_cell,
@@ -113,11 +116,11 @@ def _build_charfun(noise: str, delta: float, param: float, nodes: int):
 
 
 def _analysis(cf, code, cell, s_max: int) -> dict:
-    """Metrics of the Loewdin-orthonormalized channel at truncation s_max.  The
-    channel is built in double precision, and built again at FALLBACK_DPS
-    digits when its integrals underflowed and its infidelity lies below
-    RERUN_BELOW, or at a higher quadrature order while its quadrature error
-    estimate exceeds QUAD_REL_ERR of its infidelity."""
+    """{"infidelity", "channel"} of the Loewdin-orthonormalized channel at
+    truncation s_max.  The channel is built in double precision, and built
+    again at FALLBACK_DPS digits when its integrals underflowed and its
+    infidelity lies below RERUN_BELOW, or at a higher quadrature order while
+    its quadrature error estimate exceeds QUAD_REL_ERR of its infidelity."""
     trunc = TruncationSpec(s_max)
     for order in QUAD_ORDERS:
         _, och = lowdin_orthonormalize(logical_channel(code, cell, cf, trunc, quad_order=order))
@@ -131,14 +134,14 @@ def _analysis(cf, code, cell, s_max: int) -> dict:
     else:
         raise ValueError(f"cell quadrature not converged at order {QUAD_ORDERS[-1]}: error "
                          f"estimate {och.meta['quad_err']:.2e} against infidelity {infid:.3e}")
-    tp, choi = cptp_diagnostics(och)
-    return {"infidelity": infid, "tp_defect": tp, "min_choi_eig": choi}
+    return {"infidelity": infid, "channel": och}
 
 
 def sweep_point(noise: str, delta_db: float, param: float, s_max: int, nodes: int,
                 code=None, cell=None):
     """One sweep row: orthonormalized logical-channel metrics plus the
-    truncation residual at s_max + 1, each channel built as _analysis says."""
+    truncation residual at s_max + 1, each channel built as _analysis says;
+    only the infidelity of the s_max + 1 channel is read."""
     code = square_code() if code is None else code
     cell = voronoi_box(code) if cell is None else cell
     delta = _delta_from_db(delta_db)
@@ -146,16 +149,16 @@ def sweep_point(noise: str, delta_db: float, param: float, s_max: int, nodes: in
     res, res2 = (_analysis(cf, code, cell, s) for s in (s_max, s_max + 1))
     infid, infid2 = res["infidelity"], res2["infidelity"]
     residual = abs(infid - infid2) / infid2 if infid2 > 0 else 0.0
+    tp, choi = cptp_diagnostics(res["channel"])
     return {
         "delta_db": delta_db, "nbar_est": _nbar_est(delta), "noise_param": param,
-        "avg_gate_infidelity": infid, "tp_defect": res["tp_defect"],
-        "min_choi_eig": res["min_choi_eig"], "smax_residual": residual, "is_baseline": False,
+        "avg_gate_infidelity": infid, "tp_defect": tp,
+        "min_choi_eig": choi, "smax_residual": residual, "is_baseline": False,
     }
 
 
 def baseline_point(noise: str, param: float):
-    family = "loss" if noise in ("loss", "displacement") else "dephasing"
-    ch = fock_qubit_baseline(family, param)
+    ch = fock_qubit_baseline(noise, param)
     tp, choi = cptp_diagnostics(ch)
     return {
         "delta_db": float("nan"), "nbar_est": 0.5, "noise_param": param,
@@ -168,23 +171,48 @@ SWEEP_COLUMNS = ["delta_db", "nbar_est", "noise_param", "avg_gate_infidelity",
                  "tp_defect", "min_choi_eig", "smax_residual", "is_baseline"]
 
 
+# The keys of each subcommand's config and their defaults.  A list of numbers
+# is a grid, an int a count, a bool a flag; README.md documents each key.
+SWEEP_KEYS = {"noise": "envelope", "delta_db": [10.0], "noise_param": [0.0], "smax": 1,
+              "quadrature_nodes": 64, "baseline": False, "code": None}
+BLOCH_KEYS = {"delta_db": [4, 6, 8, 10, 14, 20, 30], "smax": 4}
+LATTICE_KEYS = {"code": {"name": "square"}, "symmetric_cell": False}
+CLIFFORD_KEYS = {"code": {"name": "square"}, "gates": ["H", "S", "R"]}
+ORACLE_KEYS = {"delta_db": [8], "gamma": [0.0, 0.01], "cutoff": 160, "grid": 48, "smax": 2}
+
+
+def _settings(where: str, cfg, defaults: dict) -> dict:
+    """defaults overridden by cfg.  A key outside defaults, a count that is
+    not an integer, a flag that is not a boolean, or a grid that is not a list
+    of real numbers raises a ValueError naming the key."""
+    got = {**defaults, **_checked(where, cfg, (), tuple(defaults))}
+    for key, default in defaults.items():
+        what = f"{key} in {where}"
+        if isinstance(default, bool):
+            if not isinstance(got[key], bool):
+                raise ValueError(f"{what} must be true or false, got {got[key]!r}")
+        elif isinstance(default, int):
+            got[key] = _integer(got[key], what)
+        elif isinstance(default, list) and not isinstance(default[0], str):
+            if not isinstance(got[key], list):
+                raise ValueError(f"{what} must be a list, got {got[key]!r}")
+            for value in got[key]:
+                _real(value, f"each entry of {what}")
+    return got
+
+
 def cmd_sweep(cfg: dict, out):
-    noise = cfg.get("noise", "envelope")
-    deltas = cfg.get("delta_db", [10.0])
-    params = cfg.get("noise_param", [0.0])
-    s_max = int(cfg.get("smax", 1))
-    nodes = int(cfg.get("quadrature_nodes", 64))
-    include_baseline = bool(cfg.get("baseline", False))
+    cfg = _settings("sweep config", cfg, SWEEP_KEYS)
+    noise, deltas, params = cfg["noise"], cfg["delta_db"], cfg["noise_param"]
     if not deltas or not params:
         raise ValueError("delta_db and noise_param grids must be nonempty")
 
-    code, cell = (None, None)
-    if "code" in cfg:
-        code, cell = code_from_config(cfg["code"])
+    code, cell = (None, None) if cfg["code"] is None else code_from_config(cfg["code"])
 
-    rows = [sweep_point(noise, db, p, s_max, nodes, code, cell) for db in deltas for p in params]
-    if include_baseline and noise != "envelope":
-        rows.extend(baseline_point(noise, p) for p in params)
+    # baselines first, so that a family without one fails before the sweep runs
+    baselines = [baseline_point(noise, p) for p in params] if cfg["baseline"] and noise != "envelope" else []
+    rows = [sweep_point(noise, db, p, cfg["smax"], cfg["quadrature_nodes"], code, cell)
+            for db in deltas for p in params] + baselines
 
     out.write(",".join(SWEEP_COLUMNS) + "\n")
     for row in rows:
@@ -192,8 +220,8 @@ def cmd_sweep(cfg: dict, out):
 
 
 def cmd_bloch_trajectory(cfg: dict, out):
-    deltas = cfg.get("delta_db", [4, 6, 8, 10, 14, 20, 30])
-    s_max = int(cfg.get("smax", 4))
+    cfg = _settings("bloch-trajectory config", cfg, BLOCH_KEYS)
+    s_max = cfg["smax"]
     code = square_code()
     cell = voronoi_box(code)
     states = {
@@ -203,7 +231,7 @@ def cmd_bloch_trajectory(cfg: dict, out):
         "-": np.array([1, -1], dtype=complex) / np.sqrt(2),
     }
     out.write("delta_db,state,r_x,r_y,r_z,inside_octahedron\n")
-    for db in deltas:
+    for db in cfg["delta_db"]:
         delta = _delta_from_db(db)
         # weak envelopes (large Delta) spread weight over many Pauli shells
         window = max(s_max, 9) if db < 3 else s_max
@@ -216,21 +244,16 @@ def cmd_bloch_trajectory(cfg: dict, out):
 
 
 def cmd_lattice_report(cfg: dict, out):
-    code, cell = code_from_config(cfg.get("code", {"name": "square"}))
-    m = code.generator_matrix()
-    sigma, dims = standard_form(m)
-    report = {
-        "dims": [int(d) for d in dims],
-        "sigma": sigma.tolist(),
-        "shortest_error_lengths": {},
-    }
-    classes = ["any", "X", "Z"]
-    for cls in classes:
+    cfg = _settings("lattice-report config", cfg, LATTICE_KEYS)
+    code, cell = code_from_config(cfg["code"])
+    sigma, dims = standard_form(code.generator_matrix())
+    report = {"dims": [int(d) for d in dims], "sigma": sigma.tolist(), "shortest_error_lengths": {}}
+    for cls in ("any", "X", "Z"):
         try:
             report["shortest_error_lengths"][cls] = shortest_error_length(code, cell, cls)
         except ValueError:
             report["shortest_error_lengths"][cls] = None
-    if cfg.get("symmetric_cell", False):
+    if cfg["symmetric_cell"]:
         pcell = repetition_symmetric_cell(code)
         report["symmetric_cell_X"] = shortest_error_length(code, pcell, "X")
     json.dump(report, out, indent=2)
@@ -238,10 +261,10 @@ def cmd_lattice_report(cfg: dict, out):
 
 
 def cmd_clifford_check(cfg: dict, out):
-    code, cell = code_from_config(cfg.get("code", {"name": "square"}))
-    gates = cfg.get("gates", ["H", "S", "R"])
+    opts = _settings("clifford-check config", cfg, CLIFFORD_KEYS)
+    code, cell = code_from_config(opts["code"])
     verdicts = {}
-    for gate in gates:
+    for gate in opts["gates"]:
         n_a = CLIFFORD_TABLE[gate][0].astype(float)
         if n_a.shape[0] != 2 * code.n_modes:
             continue
@@ -252,35 +275,26 @@ def cmd_clifford_check(cfg: dict, out):
 
 
 def cmd_oracle_check(cfg: dict, out):
-    from .fock import apply_loss, ideal_decode, orthonormalized_codewords
+    from .fock import apply_loss, ideal_decode_batch, orthonormalized_codewords
 
-    deltas = cfg.get("delta_db", [8])
-    gammas = cfg.get("gamma", [0.0, 0.01])
-    cutoff = int(cfg.get("cutoff", 160))
-    grid = int(cfg.get("grid", 48))
-    s_max = int(cfg.get("smax", 2))
+    cfg = _settings("oracle-check config", cfg, ORACLE_KEYS)
     code = square_code()
     cell = voronoi_box(code)
-    basis = {
-        "z+": np.array([1, 0], complex), "z-": np.array([0, 1], complex),
-        "x+": np.array([1, 1], complex) / np.sqrt(2), "x-": np.array([1, -1], complex) / np.sqrt(2),
-        "y+": np.array([1, 1j], complex) / np.sqrt(2), "y-": np.array([1, -1j], complex) / np.sqrt(2),
-    }
+    # the logical z, x and y eigenstates
+    basis = [np.array(v, complex) / np.linalg.norm(v) for v in
+             ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])]
     results = []
-    for db in deltas:
+    for db in cfg["delta_db"]:
         delta = _delta_from_db(db)
-        codewords, _ = orthonormalized_codewords(delta, cutoff)
-        for gam in gammas:
+        codewords, _ = orthonormalized_codewords(delta, cfg["cutoff"])
+        for gam in cfg["gamma"]:
             cf = envelope_charfun(delta) if gam == 0 else compose(loss_charfun(gam), envelope_charfun(delta))
-            ch = logical_channel(code, cell, cf, TruncationSpec(s_max))
-            _, och = lowdin_orthonormalize(ch)
+            _, och = lowdin_orthonormalize(logical_channel(code, cell, cf, TruncationSpec(cfg["smax"])))
+            vecs = [psi[0] * codewords[0] + psi[1] * codewords[1] for psi in basis]
+            rhos = [apply_loss(np.outer(vec, vec.conj()), gam) for vec in vecs]
+            oracles, _ = ideal_decode_batch(rhos, code, grid=cfg["grid"])
             worst = 0.0
-            for name, psi in basis.items():
-                vec = psi[0] * codewords[0] + psi[1] * codewords[1]
-                rho = np.outer(vec, vec.conj())
-                if gam > 0:
-                    rho = apply_loss(rho, gam)
-                oracle, _ = ideal_decode(rho, code, grid=grid)
+            for psi, oracle in zip(basis, oracles):
                 pipe = och.apply(np.outer(psi, psi.conj()))
                 pipe = pipe / np.trace(pipe)
                 ev = np.linalg.eigvalsh(oracle - pipe)

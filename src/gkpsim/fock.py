@@ -181,14 +181,9 @@ def ideal_decode_batch(rhos, code: GkpCode, grid: int = 64):
     return outs, defects
 
 
-def ideal_decode(rho: np.ndarray, code: GkpCode, grid: int = 64):
-    """Single-state variant of ideal_decode_batch; returns (rho_L, defect)."""
-    outs, defects = ideal_decode_batch([rho], code, grid)
-    return outs[0], defects[0]
-
-
 def orthonormalized_codewords(delta: float, cutoff: int):
-    """Fock representations of the Loewdin-orthonormalized codeword pair."""
+    """(Fock representations of the Loewdin-orthonormalized codeword pair,
+    the Loewdin matrix C that forms them from the damped combs)."""
     vecs = _damped_combs(delta, cutoff)
-    ortho = ortho_matrix_from_gram((vecs @ vecs.T).astype(complex))
-    return ortho.c_matrix @ vecs, ortho
+    c = ortho_matrix_from_gram((vecs @ vecs.T).astype(complex))
+    return c @ vecs, c

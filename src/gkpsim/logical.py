@@ -54,24 +54,13 @@ class DecayViolationError(ValueError):
 # complex error function
 
 
-def complex_erf(z):
-    """erf on the complex plane (Faddeeva-backed), with asymptotic guard.
-
-    Accurate to ~1e-13 relative in the strip |Im z| <= 10; for huge |Re z|
-    where exp(-z^2) underflows it returns the +-1 asymptote directly.
-    """
-    z = complex(z)
-    if abs(z.real) > 26.5 and z.real * z.real - z.imag * z.imag > 745.0:
-        return 1.0 if z.real > 0 else -1.0
-    return complex(scipy.special.erf(z))
-
-
 def _erf_diff(ctx, z1, z2):
     """erf(z2) - erf(z1) without saturation loss for large same-sign real parts,
-    in double precision (ctx None) or in the mpmath context ctx."""
+    in double precision (ctx None, Faddeeva-backed scipy) or in the mpmath
+    context ctx."""
     if ctx is None:
         z1, z2 = complex(z1), complex(z2)
-        erf, erfc = complex_erf, scipy.special.erfc
+        erf, erfc = scipy.special.erf, scipy.special.erfc
     else:
         erf, erfc = ctx.erf, ctx.erfc
     if z1.real > 4 and z2.real > 4:
@@ -615,31 +604,20 @@ def highprec_channel_analysis(cf: ChannelCharFn, code: GkpCode, cell: BoxCell,
 
     The float pipeline (logical_channel, Loewdin orthonormalization, fidelity
     and CPTP metrics) at dps digits in a private mpmath context.  Returns
-    {"infidelity", "fidelity", "tp_defect", "min_choi_eig", "gram"} as
-    mpmath numbers (gram as an object ndarray).  Single-mode qubit
-    codes on box cells only; kernels are composed in double precision (their
-    parameters are O(1/Delta^2) and well conditioned), every erf difference
-    and everything after it at dps digits.
+    {"infidelity", "tp_defect", "min_choi_eig"} as mpmath numbers, the
+    infidelity as 1 - F at dps digits.  Single-mode qubit codes on box cells
+    only; kernels are composed in double precision (their parameters are
+    O(1/Delta^2) and well conditioned), every erf difference and everything
+    after it at dps digits.
     """
-    from .metrics import (
-        average_gate_fidelity,
-        cptp_diagnostics,
-        gram_from_channel,
-        lowdin_orthonormalize,
-        ortho_matrix_from_gram,
-    )
+    from .metrics import average_gate_fidelity, cptp_diagnostics, lowdin_orthonormalize
 
     if code.dims != (2,) or not isinstance(cell, BoxCell):
         raise ValueError("high-precision analysis supports single-mode qubit codes on box cells")
-    ch = logical_channel(code, cell, cf, trunc, dps=dps)
-    gram = gram_from_channel(ch)
-    _, och = lowdin_orthonormalize(ch, ortho_matrix_from_gram(gram))
-    fidelity = average_gate_fidelity(och, warn=False)
+    _, och = lowdin_orthonormalize(logical_channel(code, cell, cf, trunc, dps=dps))
     tp_defect, min_eig = cptp_diagnostics(och)
     return {
-        "infidelity": 1 - fidelity,
-        "fidelity": fidelity,
+        "infidelity": 1 - average_gate_fidelity(och, warn=False),
         "tp_defect": tp_defect,
         "min_choi_eig": min_eig,
-        "gram": gram,
     }

@@ -9,38 +9,10 @@ eigensolver depends on the precision, and _eigvalsh picks it from the dtype.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .logical import LogicalSuperop, _pauli_basis, _pauli_components, pauli_matrix
-
-
-@dataclass
-class OrthoMatrix:
-    """Symmetric orthonormalization data for a pair of approximate codewords.
-
-    c_matrix rows express the orthonormalized codewords in terms of the
-    normalized non-orthogonal ones; the remaining fields are the scalars the
-    construction is built from, with phase = e^{i phi} of the cross overlap.
-    """
-
-    c_matrix: np.ndarray
-    n0: float
-    n1: float
-    overlap_r: float
-    phase: complex
-    r_plus: float
-    r_minus: float
-
-    @property
-    def phi(self) -> float:
-        """The overlap phase angle, in double precision."""
-        return float(np.angle(complex(self.phase)))
-
-    def as_operator(self) -> np.ndarray:
-        """The logical-space operator C_hat with |mu_ortho> = envelope * C_hat |mu_ideal>."""
-        return self.c_matrix.T
 
 
 def _eigvalsh(h: np.ndarray):
@@ -60,12 +32,14 @@ def gram_from_channel(channel: LogicalSuperop) -> np.ndarray:
     return basis.conj().reshape(m * d, d).T @ weighted.reshape(m * d, d)
 
 
-def ortho_matrix_from_gram(g: np.ndarray) -> OrthoMatrix:
-    """Symmetric (Loewdin) orthonormalization matrix of two nearly orthogonal codewords.
+def ortho_matrix_from_gram(g: np.ndarray) -> np.ndarray:
+    """Symmetric (Loewdin) orthonormalization matrix C of two nearly orthogonal codewords.
 
     Normalizes each codeword, then applies the inverse square root of the
-    normalized Gram.  The phase e^{i phi} is overlap / |overlap|, and 1 when
-    the overlap vanishes.  Works on float and mpmath Grams.
+    normalized Gram: row mu of C expresses orthonormalized codeword mu in
+    terms of the unnormalized ones, so conj(C) G C^T = I.  The phase of the
+    cross overlap is overlap / |overlap|, and 1 when the overlap vanishes.
+    Works on float and mpmath Grams.
     """
     if g.shape != (2, 2):
         raise ValueError("orthonormalization is defined for qubit codes")
@@ -77,28 +51,28 @@ def ortho_matrix_from_gram(g: np.ndarray) -> OrthoMatrix:
     r = abs(overlap) / (n0 * n1)
     if r >= 1:
         raise ValueError("degenerate codewords: normalized overlap >= 1")
+    if abs(overlap) < 2.0 ** -1000:  # numpy's complex division overflows on a subnormal |overlap|
+        overlap = overlap * 2.0 ** 600  # exact
     phase = overlap / abs(overlap) if r > 0 else 1
     r_plus = (1 + r) ** -0.5 + (1 - r) ** -0.5
     r_minus = (1 + r) ** -0.5 - (1 - r) ** -0.5
-    c = np.array([
+    return np.array([
         [r_plus / (2 * n0), phase.conjugate() * r_minus / (2 * n1)],
         [phase * r_minus / (2 * n0), r_plus / (2 * n1)],
     ])
-    return OrthoMatrix(c, n0, n1, r, phase, r_plus, r_minus)
 
 
-def lowdin_orthonormalize(channel: LogicalSuperop, ortho: OrthoMatrix = None):
+def lowdin_orthonormalize(channel: LogicalSuperop):
     """Orthonormalize the codewords of a raw logical channel.
 
-    When `ortho` is omitted the Gram data is extracted from the channel
-    itself, which is exact for the envelope channel; channels of the form
-    noise o envelope should pass the OrthoMatrix of the same-Delta envelope
-    channel.  Returns (OrthoMatrix, composed trace-preserving channel).
+    The Loewdin matrix C comes from the channel's own codeword Gram.  For a
+    channel N o E with N trace preserving, that Gram is the Gram of the
+    envelope channel E, so the same C serves noisy and noiseless channels.
+    Returns (C, composed trace-preserving channel), where the composed
+    channel feeds C^T |mu> into the raw one.
     """
-    if ortho is None:
-        ortho = ortho_matrix_from_gram(gram_from_channel(channel))
-    composed = channel.conjugate_input(ortho.as_operator())
-    return ortho, composed
+    c = ortho_matrix_from_gram(gram_from_channel(channel))
+    return c, channel.conjugate_input(c.T)
 
 
 def _tp_defect(channel: LogicalSuperop):
@@ -182,7 +156,7 @@ def fock_qubit_baseline(noise: str, param: float) -> LogicalSuperop:
         k0 = np.sqrt((1 + lam) / 2) * np.eye(2, dtype=complex)
         k1 = np.sqrt((1 - lam) / 2) * pauli_matrix((2,), (0, 1))  # Z
         return _kraus_to_superop([k0, k1])
-    raise ValueError(f"unknown baseline noise {noise!r}")
+    raise ValueError(f"no Fock baseline for noise {noise!r}; the families with one are loss and dephasing")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ ALLOWED_DEFAULTS = {
     "cli.sweep_point(cell)",
     "cli.sweep_point(code)",
     "fock.apply_loss(j_max)",
-    "fock.ideal_decode(grid)",
     "fock.ideal_decode_batch(grid)",
     "lattice.BoxCell.contains(tol)",
     "lattice.PrimitiveCell.contains(tol)",
@@ -52,7 +51,6 @@ ALLOWED_DEFAULTS = {
     "logical.window_coefficients(quad_order)",
     "logical.window_coefficients(trunc)",
     "metrics.average_gate_fidelity(warn)",
-    "metrics.lowdin_orthonormalize(ortho)",
     "states.apply_clifford(gate)",
     "states.decompose_wavefunction(window)",
     "states.square_cell_grid(order)",

@@ -17,6 +17,8 @@ of 30-digit arithmetic, so only their size is checked.
 """
 
 import json
+import re
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -180,3 +182,59 @@ def test_oracle_check(tmp_path):
     assert [(r["delta_db"], r["gamma"]) for r in got["results"]] == [(8, 0.0), (8, 0.01)]
     assert got["max_trace_distance"] == max(r["max_trace_distance"] for r in got["results"])
     assert got["max_trace_distance"] < 1e-8
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("sweep", {"s_max": 3}, "s_max"),
+    ("bloch-trajectory", {"delta_dB": [6]}, "delta_dB"),
+    ("lattice-report", {"symmetric": True}, "symmetric"),
+    ("clifford-check", {"gate": ["H"]}, "gate"),
+    ("oracle-check", {"gammas": [0.0]}, "gammas"),
+])
+def test_misspelt_config_key_raises(tmp_path, command, cfg, key):
+    with pytest.raises(ValueError, match=f"unknown key '{key}' in {command} config"):
+        _run(tmp_path, command, cfg)
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("sweep", {"smax": 2.7}, "smax in sweep config must be an integer"),
+    ("sweep", {"quadrature_nodes": "8"}, "quadrature_nodes in sweep config must be an integer"),
+    ("sweep", {"baseline": "no"}, "baseline in sweep config must be true or false"),
+    ("sweep", {"delta_db": 10}, "delta_db in sweep config must be a list"),
+    ("sweep", {"noise_param": [True]}, "each entry of noise_param in sweep config must be a real number"),
+    ("bloch-trajectory", {"smax": True}, "smax in bloch-trajectory config must be an integer"),
+    ("lattice-report", {"symmetric_cell": 1}, "symmetric_cell in lattice-report config must be true or false"),
+    ("oracle-check", {"cutoff": 120.5}, "cutoff in oracle-check config must be an integer"),
+    ("oracle-check", {"grid": 12.5}, "grid in oracle-check config must be an integer"),
+])
+def test_config_value_of_the_wrong_kind_raises(tmp_path, command, cfg, message):
+    with pytest.raises(ValueError, match=message):
+        _run(tmp_path, command, cfg)
+
+
+def test_integral_float_count_is_accepted(tmp_path):
+    # JSON may spell a count 1.0; it is the same S as 1
+    cfg = {"noise": "loss", "delta_db": [8], "noise_param": [0.01], "smax": 1.0}
+    assert _run(tmp_path, "sweep", cfg) == _run(tmp_path, "sweep", dict(cfg, smax=1))
+
+
+def test_displacement_has_no_baseline(tmp_path):
+    # the amplitude-damping baseline once printed here, labelled as a baseline
+    cfg = {"noise": "displacement", "delta_db": [8], "noise_param": [0.01], "baseline": True}
+    with pytest.raises(ValueError, match="'displacement'.* loss and dephasing"):
+        _run(tmp_path, "sweep", cfg)
+
+
+def _readme_keys(command):
+    """{key: default} of the config table under the command's README.md heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"### `{command}`\n", 1)[1].split("\n#", 1)[0]
+    return {key: json.loads(default) for key, default in re.findall(r"^\| `(\w+)` \| `(.+?)` \|", section, re.M)}
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("sweep", cli.SWEEP_KEYS), ("bloch-trajectory", cli.BLOCH_KEYS), ("lattice-report", cli.LATTICE_KEYS),
+    ("clifford-check", cli.CLIFFORD_KEYS), ("oracle-check", cli.ORACLE_KEYS),
+])
+def test_readme_lists_every_config_key_and_default(command, keys):
+    assert _readme_keys(command) == keys

@@ -8,12 +8,12 @@ from gkpsim.fock import (
     codeword_gram,
     hermite_function,
     hermite_functions_upto,
-    ideal_decode,
     ideal_decode_batch,
     orthonormalized_codewords,
     zak_fock_overlap_table,
 )
 from gkpsim.lattice import square_code
+from gkpsim.metrics import ortho_matrix_from_gram
 
 SQ = square_code()
 
@@ -124,7 +124,7 @@ def test_decode_good_codeword():
     delta = 10 ** (-10 / 20)
     c0 = build_approx_codeword(0, delta, 160)
     rho = np.outer(c0, c0.conj())
-    decoded, defect = ideal_decode(rho, SQ, grid=48)
+    [decoded], [defect] = ideal_decode_batch([rho], SQ, grid=48)
     assert np.real(decoded[0, 0]) > 0.9999
     assert defect < 1e-10
 
@@ -136,7 +136,7 @@ def test_decode_batch_matches_single():
     rhos = [np.outer(c, c.conj()) for c in (c0, c1)]
     batch, _ = ideal_decode_batch(rhos, SQ, grid=40)
     for rho, out in zip(rhos, batch):
-        single, _ = ideal_decode(rho, SQ, grid=40)
+        [single], _ = ideal_decode_batch([rho], SQ, grid=40)  # decoded alone
         assert np.max(np.abs(single - out)) < 1e-13
 
 
@@ -144,14 +144,14 @@ def test_decode_grid_convergence_guard():
     rho = np.zeros((80, 80), dtype=complex)
     rho[79, 79] = 1.0  # highly oscillatory state needs a fine grid
     with pytest.raises(ValueError, match="not converged"):
-        ideal_decode(rho, SQ, grid=8)
+        ideal_decode_batch([rho], SQ, grid=8)
 
 
 def test_orthonormalized_codewords_are_orthonormal():
-    vecs, ortho = orthonormalized_codewords(0.45, 160)
+    vecs, c = orthonormalized_codewords(0.45, 160)
     gram = vecs.conj() @ vecs.T
     assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-    assert ortho.overlap_r < 1
+    assert np.array_equal(c, ortho_matrix_from_gram(codeword_gram(0.45, 160)))
 
 
 def test_codeword_gram_matches_theta_expectation():

@@ -25,7 +25,6 @@ from gkpsim.logical import (
     LogicalSuperop,
     TruncationSpec,
     box_cell_integral,
-    complex_erf,
     highprec_channel_analysis,
     logical_channel,
     numeric_cell_integral,
@@ -62,11 +61,16 @@ def _erf_series(z, terms=60):
     return 2 / np.sqrt(np.pi) * total
 
 
+def _erf(z):
+    # erf(z) = erf(z) - erf(0), by the double-precision erf difference
+    return logical._erf_diff(None, 0, z)
+
+
 def test_complex_erf_examples():
-    assert complex_erf(0.0) == 0.0
-    assert complex_erf(1.0) == pytest.approx(_erf_series(1.0), abs=1e-13)
-    assert complex_erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-14)
-    val = complex_erf(1j)
+    assert _erf(0.0) == 0.0
+    assert _erf(1.0) == pytest.approx(_erf_series(1.0), abs=1e-13)
+    assert _erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-14)
+    val = _erf(1j)
     assert val.real == pytest.approx(0.0, abs=1e-14)
     assert val.imag == pytest.approx(1.6504257587975429, abs=1e-12)
     assert val == pytest.approx(_erf_series(1j), abs=1e-12)
@@ -78,12 +82,14 @@ def test_complex_erf_strip_accuracy():
     rng = np.random.default_rng(0)
     for _ in range(50):
         z = complex(rng.uniform(-1.8, 1.8), rng.uniform(-1.8, 1.8))
-        assert abs(complex_erf(z) - _erf_series(z, 80)) < 1e-13 * max(1, abs(_erf_series(z, 80)))
+        assert abs(_erf(z) - _erf_series(z, 80)) < 1e-13 * max(1, abs(_erf_series(z, 80)))
 
 
 def test_complex_erf_huge_real_asymptote():
-    assert complex_erf(40 + 0.5j) == 1.0
-    assert complex_erf(-40 - 0.5j) == -1.0
+    # exp(-z^2) underflows where Re z^2 > 745, so scipy's erf is exactly +-1
+    assert _erf(40 + 0.5j) == 1.0
+    assert _erf(-40 - 0.5j) == -1.0
+    assert logical._erf_diff(None, -40 - 0.5j, 40 + 0.5j) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +601,8 @@ def test_underflowed_channel_reruns_at_dps_30(monkeypatch, delta_db):
     assert [m["dps"] for m in metas] == [None, 30]
     assert metas[0]["underflowed"] > 0
     assert 0 < res["infidelity"] < cli.RERUN_BELOW
-    assert res["tp_defect"] < 1e-25 and res["min_choi_eig"] >= -1e-25
+    tp_defect, min_choi_eig = cptp_diagnostics(res["channel"])
+    assert tp_defect < 1e-25 and min_choi_eig >= -1e-25
 
 
 def test_voronoi_channel_that_underflows_raises():

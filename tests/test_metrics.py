@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkpsim.charfun import compose, envelope_charfun, loss_charfun, random_displacement_charfun
@@ -45,9 +45,9 @@ def _theta_sum_gram(delta, window=12):
 
 
 def test_orthonormal_input_gives_identity():
-    ortho = ortho_matrix_from_gram(np.eye(2, dtype=complex))
-    assert np.allclose(ortho.c_matrix, np.eye(2))
-    assert ortho.overlap_r == 0.0
+    c = ortho_matrix_from_gram(np.eye(2, dtype=complex))
+    assert np.allclose(c, np.eye(2))
+    assert c[0, 1] == c[1, 0] == 0  # a zero overlap mixes nothing in
 
 
 def test_gram_matches_theta_sum_oracle():
@@ -68,8 +68,8 @@ def test_c_matrix_matches_theta_sum_oracle():
     ch = logical_channel(SQ, CELL, envelope_charfun(delta), TruncationSpec(6))
     g_pipe = gram_from_channel(ch)
     g_theta = _theta_sum_gram(delta)
-    c_pipe = ortho_matrix_from_gram(g_pipe / np.real(g_pipe[0, 0])).c_matrix
-    c_theta = ortho_matrix_from_gram(g_theta / np.real(g_theta[0, 0])).c_matrix
+    c_pipe = ortho_matrix_from_gram(g_pipe / np.real(g_pipe[0, 0]))
+    c_theta = ortho_matrix_from_gram(g_theta / np.real(g_theta[0, 0]))
     assert np.max(np.abs(c_pipe - c_theta)) < 1e-9 * np.max(np.abs(c_theta))
 
 
@@ -78,19 +78,36 @@ def test_square_code_gram_off_diagonal_is_real():
         ch = logical_channel(SQ, CELL, envelope_charfun(delta), TruncationSpec(2))
         g = gram_from_channel(ch)
         assert abs(g[0, 1].imag) < 1e-12 * abs(g[0, 1].real)
-        assert abs(ortho_matrix_from_gram(g).phi) < 1e-12
+        c = ortho_matrix_from_gram(g)  # a real overlap has phase 1, so C is real
+        assert np.max(np.abs(c.imag)) < 1e-12 * np.max(np.abs(c))
 
 
 def test_orthonormality_identity():
     # conj(C) G C^T = I for the unnormalized Gram
     delta = 0.5
     g = _theta_sum_gram(delta)
-    c = ortho_matrix_from_gram(g).c_matrix
+    c = ortho_matrix_from_gram(g)
     assert np.max(np.abs(np.conj(c) @ g @ c.T - np.eye(2))) < 1e-10
     # complex Gram keeps the identity through the phase factor
     g = np.array([[2.0, 0.3 * np.exp(0.4j)], [0.3 * np.exp(-0.4j), 1.1]])
-    c = ortho_matrix_from_gram(g).c_matrix
+    c = ortho_matrix_from_gram(g)
     assert np.max(np.abs(np.conj(c) @ g @ c.T - np.eye(2))) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0, 0.99), st.floats(-np.pi, np.pi))
+@example(0.0, 0.0, 5e-324, 0.0)  # a subnormal overlap once made the phase inf + nan j
+def test_lowdin_matrix_of_hermitian_positive_definite_grams(log_s0, log_s1, r, angle):
+    # G = D G_hat D with diagonal scales D and a unit-diagonal normalized Gram
+    # G_hat of overlap r e^{i angle}; C is G_hat^{-1/2} in the normalized basis
+    scales = np.exp([log_s0, log_s1])
+    g_hat = np.array([[1, r * np.exp(1j * angle)], [r * np.exp(-1j * angle), 1]])
+    g = scales[:, None] * g_hat * scales[None, :]
+    c = ortho_matrix_from_gram(g)
+    assert np.max(np.abs(np.conj(c) @ g @ c.T - np.eye(2))) < 1e-12
+    w, v = np.linalg.eigh(g_hat)
+    inv_sqrt = v @ np.diag(w ** -0.5) @ v.conj().T
+    assert np.max(np.abs(c @ np.diag(np.sqrt(np.diag(g).real)) - inv_sqrt.T)) < 1e-12
 
 
 def test_lowdin_relabeling_equivariance():
@@ -98,8 +115,8 @@ def test_lowdin_relabeling_equivariance():
     # treats the two codewords symmetrically
     g = _theta_sum_gram(0.5)
     x = np.array([[0, 1], [1, 0]])
-    c = ortho_matrix_from_gram(g).c_matrix
-    c_swapped = ortho_matrix_from_gram(x @ g @ x).c_matrix
+    c = ortho_matrix_from_gram(g)
+    c_swapped = ortho_matrix_from_gram(x @ g @ x)
     assert np.max(np.abs(c_swapped - x @ c @ x)) < 1e-12
 
 
@@ -271,11 +288,11 @@ def test_bloch_decoded_phi_plus():
 
 
 def test_bloch_decoded_vacuum_outside_octahedron():
-    from gkpsim.fock import ideal_decode
+    from gkpsim.fock import ideal_decode_batch
 
     rho = np.zeros((60, 60), dtype=complex)
     rho[0, 0] = 1.0
-    decoded, _ = ideal_decode(rho, SQ, grid=48)
+    [decoded], _ = ideal_decode_batch([rho], SQ, grid=48)
     r, inside = bloch_and_octahedron(decoded)
     assert not inside
     assert np.sum(np.abs(r)) > 1.1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gkpsim.fock import ideal_decode
+from gkpsim.fock import ideal_decode_batch
 from gkpsim.lattice import BoxCell, VoronoiCell, hexagonal_code, square_code, voronoi_box
 from gkpsim.metrics import bloch_and_octahedron
 from gkpsim.states import (
@@ -86,7 +86,7 @@ def test_decompose_vacuum_matches_fock_oracle():
     r, inside = bloch_and_octahedron(rho)
     fock_rho = np.zeros((60, 60), dtype=complex)
     fock_rho[0, 0] = 1.0
-    decoded, _ = ideal_decode(fock_rho, SQ, grid=48)
+    [decoded], _ = ideal_decode_batch([fock_rho], SQ, grid=48)
     r_fock, inside_fock = bloch_and_octahedron(decoded)
     assert np.max(np.abs(r - r_fock)) < 1e-8
     assert inside == inside_fock is False
