@@ -265,6 +265,9 @@ def cmd_clifford_check(cfg: dict, out):
     code, cell = code_from_config(opts["code"])
     verdicts = {}
     for gate in opts["gates"]:
+        if gate not in CLIFFORD_TABLE:
+            raise ValueError(f"unknown gate {gate!r} in clifford-check config; "
+                             f"known gates: {', '.join(CLIFFORD_TABLE)}")
         n_a = CLIFFORD_TABLE[gate][0].astype(float)
         if n_a.shape[0] != 2 * code.n_modes:
             continue

@@ -158,12 +158,12 @@ def ideal_decode_batch(rhos, code: GkpCode, grid: int = 64):
         x, w = np.polynomial.legendre.leggauss(m)
         half = 2 ** -1.5
         tab = zak_fock_overlap_table(code, half * x, half * x, n_max)
-        wk = half * w
+        wkl = np.outer(half * w, half * w)[None, :, :, None]
         outs = []
         for rho in rhos:
             t = tab[..., :rho.shape[0]]
-            b = np.einsum("akln,nm->aklm", t, rho)
-            outs.append(np.einsum("aklm,bklm,k,l->ab", b, t.conj(), wk, wk))
+            # sum_{k,l,m} (t rho)[a,k,l,m] conj(t[b,k,l,m]) w_k w_l as one matrix product
+            outs.append((t @ rho * wkl).reshape(2, -1) @ t.conj().reshape(2, -1).T)
         return outs
 
     coarse, raws = run(grid), run(grid + grid // 2)

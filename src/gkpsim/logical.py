@@ -6,13 +6,18 @@ N(rho) = sum_{s,t} c_{s,t} P(s) rho P(t)^dag over a truncated dual-lattice
 window: box cells analytically (per-coordinate complex Gaussians via the
 complex error function), other bounded cells by tensor/triangle quadrature.
 Only b_v and const of the restricted exponent change from one (s, t) pair
-to the next, so window_coefficients computes the rest of each kernel term
-once: the restricted form Q_v, the box cell's axis-aligned and decay checks
-of it, every quadrature rule with p^T Q_v p on its points, the dual vectors,
-and each distinct 1D factor of a box integral (a product of factors that many
-pairs share, keyed by their exact arguments).  It forgets them before the
-next term and when it returns; each (pair, term) still makes one
-box_cell_integral or numeric_cell_integral call.
+to the next, and both are affine in each label, so window_coefficients
+computes the rest of each kernel term once: the restricted form Q_v, the box
+cell's axis-aligned and decay checks of it, every quadrature rule with
+p^T Q_v p on its points, the pieces of b_v and const that depend on one
+label only (for every label of the window, as one batch of elementwise
+products), and each distinct 1D factor of a box integral (a product of
+factors that many pairs share, keyed by their exact arguments).  A pair then
+adds up its b_v and const from the pieces of its two labels in a few
+scalar operations.  It forgets all of it before the next term and when it
+returns; each (pair, term) still makes one box_cell_integral or
+numeric_cell_integral call, and such a call on its own computes the pieces
+of just its two labels, with the same bits.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
 
@@ -31,6 +36,7 @@ and the same metrics apply.
 
 from __future__ import annotations
 
+import cmath
 import contextvars
 import functools
 import itertools
@@ -99,59 +105,106 @@ def _point_value(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell, s, 
     return kernel.amp if inside else 0.0
 
 
+_IPI = 1j * np.pi
+
+
+def _each(m, lab):
+    """m @ l for every row l of lab, added one column at a time.  Only
+    elementwise operations, so a label's bits do not depend on the batch."""
+    out = m[:, 0] * lab[:, :1]
+    for j in range(1, lab.shape[1]):
+        out = out + m[:, j] * lab[:, j:j + 1]
+    return out
+
+
+def _rowdot(x, lab):
+    """x_k . l_k for every row pair, added one column at a time."""
+    out = x[:, 0] * lab[:, 0]
+    for j in range(1, lab.shape[1]):
+        out = out + x[:, j] * lab[:, j]
+    return out
+
+
 class _TermWork:
     """What the cell integrals of one kernel term on one code and cell share
     over every (s, t) pair: the restricted quadratic form, its checked box
-    diagonal, each quadrature rule with p^T Q_v p on its points, the dual
-    vectors lbar(s) and the distinct 1D factors.  Each is computed the first
-    time a pair needs it.
+    diagonal, each quadrature rule with p^T Q_v p on its points, the
+    per-label pieces of the exponent and the distinct 1D factors.  The
+    pieces of a label are computed the first time a pair needs them, or for
+    a whole window at once by prime; everything else the first time a pair
+    needs it.
+
+    FULL: with lbar = lbar(s) and J = (1, 1)^T, the exponent of
+    c_{s,t}(v, v) = c(v + lbar(s), v + lbar(t)) e^{i pi v^T Om (lbar(s) - lbar(t))}
+    is affine in each label, so a pair adds up
+      b_v = a(s) + b(t) + J^T L + i pi (Om lbar(s) - Om lbar(t)),
+      const = alpha(s) + beta(t) + u(s) . lbar(t),
+    from a = (2 J^T Q)_1 lbar, b = (2 J^T Q)_2 lbar, alpha = lbar^T Q_11 lbar + L_1^T lbar,
+    beta = lbar^T Q_22 lbar + L_2^T lbar and u = (Q_12 + Q_21^T)^T lbar, where
+    the subscripts split the (u, v) arguments.  DIAG_DELTA: the density
+    f(v + lbar(s)) has (b_v, const) = (2 Q lbar + L, lbar^T Q lbar + L^T lbar)
+    per label, present only for s = t.
     """
 
     def __init__(self, kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell):
         self.kernel, self.code, self.cell = kernel, code, cell
-        self.duals = {}  # tuple(s) -> lbar(s)
+        self.pieces = {}  # tuple(s) -> the pieces of lbar(s)
         self.factors = {}  # (q, b, lo, hi) -> _gaussian_1d_parts
         self.rules = {}  # order -> (points, weights, p^T Q_v p)
 
     @functools.cached_property
     def restricted(self):
-        """(Q_v, 2 J^T Q, J^T L, omega(n)), with J = (1, 1)^T the restriction
-        to u = v; J is the identity for DIAG_DELTA (omega None)."""
+        """(Q_v, 2 J^T Q, J^T L as a list, omega(n)), with J = (1, 1)^T the
+        restriction to u = v; J is the identity for DIAG_DELTA (omega None)."""
         kernel = self.kernel
         if kernel.kind == DIAG_DELTA:
             q = kernel.q_matrix
-            return q, 2 * q, kernel.linear, None
+            return q, 2 * q, kernel.linear.tolist(), None
         if kernel.kind != FULL:
             raise ValueError(f"cannot cell-integrate a kernel of kind {kernel.kind}")
         n = kernel.n_modes
         j = np.vstack([np.eye(2 * n), np.eye(2 * n)])
         qv = j.T @ kernel.q_matrix @ j
-        return qv, 2 * j.T @ kernel.q_matrix, j.T @ kernel.linear, omega(n)
+        return qv, 2 * j.T @ kernel.q_matrix, (j.T @ kernel.linear).tolist(), omega(n)
 
-    def dual(self, s) -> np.ndarray:
-        """lbar(s), once per label."""
-        key = tuple(s)
-        if key not in self.duals:
-            self.duals[key] = self.code.dual_vector(s)
-        return self.duals[key]
+    def prime(self, labels):
+        """Compute the pieces of every label not seen yet, as one batch."""
+        new = list(dict.fromkeys(s for s in map(tuple, labels) if s not in self.pieces))
+        if not new:
+            return
+        _, two_jq, _, om = self.restricted
+        q, lin = self.kernel.q_matrix, self.kernel.linear
+        lab = np.array([self.code.dual_vector(s) for s in new])
+        if om is None:
+            pieces = zip((_each(two_jq, lab) + lin).tolist(), _rowdot(_each(q, lab) + lin, lab).tolist())
+        else:
+            h = lab.shape[1]
+            pieces = zip(_each(two_jq[:, :h], lab).tolist(), _each(two_jq[:, h:], lab).tolist(),
+                         _each(om, lab).tolist(),
+                         _rowdot(_each(q[:h, :h], lab) + lin[:h], lab).tolist(),
+                         _rowdot(_each(q[h:, h:], lab) + lin[h:], lab).tolist(),
+                         _each((q[:h, h:] + q[h:, :h].T).T, lab).tolist(), lab.tolist())
+        self.pieces.update(zip(new, pieces))
 
     def form(self, s, t):
         """(b_v, const) of the exponent v^T Q_v v + b_v^T v + const of
-        c_{s,t}(v, v), or None where it vanishes.
-
-        FULL: c_{s,t}(u,v) = c(u + lbar(s), v + lbar(t)) e^{i pi (u^T Om lbar(s) - v^T Om lbar(t))}.
-        DIAG_DELTA: the density f(v + lbar(s)), present only for lbar(s) = lbar(t).
-        """
-        _, two_jq, jl, om = self.restricted
-        q, lin = self.kernel.q_matrix, self.kernel.linear
-        ls = self.dual(s)
+        c_{s,t}(v, v), or None where it vanishes; b_v is a list."""
+        s, t = tuple(s), tuple(t)
+        pieces = self.pieces
+        if s not in pieces or t not in pieces:
+            self.prime((s, t))
+        _, _, jl, om = self.restricted
         if om is None:
-            if not np.array_equal(np.asarray(s, dtype=np.int64), np.asarray(t, dtype=np.int64)):
-                return None
-            return two_jq @ ls + lin, ls @ q @ ls + lin @ ls
-        lt = self.dual(t)
-        c0 = np.concatenate([ls, lt])
-        return two_jq @ c0 + jl + 1j * np.pi * (om @ (ls - lt)), c0 @ q @ c0 + lin @ c0
+            return pieces[s] if s == t else None
+        a, _, om_s, alpha, _, u, _ = pieces[s]
+        _, b, om_t, _, beta, _, lt = pieces[t]
+        # Om lbar is exact, so pairs with one lbar(s) - lbar(t) get one Omega
+        # term and share the 1D factors it enters
+        bv = [x + y + c + _IPI * (p - r) for x, y, c, p, r in zip(a, b, jl, om_s, om_t)]
+        const = alpha + beta
+        for x, y in zip(u, lt):
+            const += x * y
+        return bv, const
 
     @functools.cached_property
     def box_diag(self):
@@ -163,7 +216,7 @@ class _TermWork:
         diag = np.diag(qv)
         if np.any(diag.real >= 0):
             raise ValueError("diagonal-restricted form is not decaying; cell integral diverges")
-        return diag
+        return diag.tolist()
 
     def rule(self, order: int):
         """(points, weights, p^T Q_v p) of the cell rule of the given order."""
@@ -196,7 +249,7 @@ def _gaussian_1d_parts(ctx, q, b, lo, hi, memo: dict):
     deeply squeezed regime even though the product is tiny.  A repeated
     (q, b, lo, hi) returns the first result stored in memo.
     """
-    key = (complex(q), complex(b), float(lo), float(hi))
+    key = (q, b, lo, hi)
     if key not in memo:
         m, scalar = (np, complex) if ctx is None else (ctx, ctx.mpc)
         q = scalar(q)
@@ -205,10 +258,10 @@ def _gaussian_1d_parts(ctx, q, b, lo, hi, memo: dict):
         center = b / (2 * q)
         z1, z2 = sq * (lo - center), sq * (hi - center)
         if ctx is None and max((-z1 * z1).real, (-z2 * z2).real) > ERF_GROWTH_MAX:
-            memo[key] = _endpoint_parts(q, b, sq, z1, z2, lo, hi)
+            exponent, pref = _endpoint_parts(q, b, sq, z1, z2, lo, hi)
         else:
-            pref = m.sqrt(m.pi) / (2 * sq) * _erf_diff(ctx, z1, z2)
-            memo[key] = b * b / (4 * q), pref
+            exponent, pref = b * b / (4 * q), m.sqrt(m.pi) / (2 * sq) * _erf_diff(ctx, z1, z2)
+        memo[key] = exponent, scalar(pref)
     return memo[key]
 
 
@@ -252,11 +305,12 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     for every isotropic single-mode kernel family here).  Delta-constrained
     kernels follow their density conventions: DIAG_DELTA contributes only for
     lbar(s) = lbar(t), POINT only when the point falls in the cell.  Inside
-    window_coefficients the restricted form, its two checks and the 1D
-    factors come from the term's shared work; on its own the call does all
-    of it, so it stays the per-pair oracle.
+    window_coefficients the restricted form, its two checks, the label
+    pieces and the 1D factors come from the term's shared work; on its own
+    the call does all of it for its two labels, so it stays the per-pair
+    oracle.
     """
-    m, scalar = (np, complex) if ctx is None else (ctx, ctx.mpc)
+    exp, scalar = (cmath.exp, complex) if ctx is None else (ctx.exp, ctx.mpc)
     if kernel.kind == POINT:
         return scalar(_point_value(kernel, code, cell, s, t))
     work = _term_work(kernel, code, cell)
@@ -264,16 +318,15 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     if form is None:
         return scalar(0.0)
     bv, const = form
-    diag = work.box_diag
     exponent = scalar(const)
     pref = scalar(kernel.amp)
-    for i, (lo, hi) in enumerate(cell.intervals):
-        ex, pf = _gaussian_1d_parts(ctx, -diag[i], bv[i], lo, hi, work.factors)
+    for q, b, (lo, hi) in zip(work.box_diag, bv, cell.intervals):
+        ex, pf = _gaussian_1d_parts(ctx, -q, b, lo, hi, work.factors)
         exponent = exponent + ex
         pref = pref * pf
     if ctx is None and exponent.real < -745.0:
         return 0.0 + 0.0j  # value underflows double precision
-    return pref * m.exp(exponent)
+    return pref * exp(exponent)
 
 
 def _cell_quadrature_points(cell: PrimitiveCell, order: int):
@@ -326,9 +379,9 @@ def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: Primitive
     The estimate compares two quadrature orders; if it exceeds 1e-9 times
     max(1, |value|) a warning is issued (never silently swallowed).  POINT
     kernels integrate exactly by cell membership.  Inside window_coefficients
-    the restricted form and both rules, with p^T Q_v p on their points, come
-    from the term's shared work; on its own the call builds them, so it stays
-    the per-pair oracle.
+    the restricted form, the label pieces and both rules, with p^T Q_v p on
+    their points, come from the term's shared work; on its own the call
+    builds them, so it stays the per-pair oracle.
     """
     if kernel.kind == POINT:
         return complex(_point_value(kernel, code, cell, s, t)), 0.0
@@ -529,7 +582,8 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     Every (pair, term) makes one box_cell_integral or numeric_cell_integral
     call, which gives the same bits as a call on its own.  What does not
     depend on the pair (the restricted form and its box checks, the
-    quadrature rules with p^T Q_v p, the dual vectors and the 1D factors) is
+    quadrature rules with p^T Q_v p, the per-label pieces of b_v and const,
+    primed for the whole window in one batch, and the 1D factors) is
     computed once per kernel term, held in _TERM_WORK for that term only,
     and dropped when the call returns or raises.
     """
@@ -551,7 +605,10 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
         for w, kern in cf.terms:
             # one term's shared work at a time keeps it small for the 64-term
             # dephasing kernel; each pair still sums its terms in order
-            _TERM_WORK.set(_TermWork(kern, code, cell))
+            work = _TermWork(kern, code, cell)
+            if kern.kind != POINT:
+                work.prime(window)
+            _TERM_WORK.set(work)
             for s, t in coeffs:
                 if use_box:
                     val = box_cell_integral(kern, code, cell, s, t, ctx)

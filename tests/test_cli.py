@@ -174,6 +174,11 @@ def test_clifford_check(tmp_path, code, verdicts):
     assert got == {"code": code, "cell_invariant": verdicts}
 
 
+def test_clifford_check_unknown_gate_raises(tmp_path):
+    with pytest.raises(ValueError, match="unknown gate 'T' in clifford-check config; known gates: H, S, R, CZ"):
+        _run(tmp_path, "clifford-check", {"gates": ["H", "T"]})
+
+
 def test_oracle_check(tmp_path):
     # the Fock oracle and the chi pipeline agree to 5.4e-11 here; grid 12
     # still passes the decoder's own refinement check against grid 18

@@ -140,6 +140,20 @@ def test_decode_batch_matches_single():
         assert np.max(np.abs(single - out)) < 1e-13
 
 
+def test_decode_matches_einsum_of_its_integral():
+    # rho_L[a, b] = sum_{k,l,m,n} t[a,k,l,n] rho[n,m] conj(t[b,k,l,m]) w_k w_l
+    # summed by einsum on the refined grid that the decode returns
+    delta = 10 ** (-8 / 20)
+    psi = build_approx_codeword(0, delta, 120) + 1j * build_approx_codeword(1, delta, 120)
+    rho = apply_loss(np.outer(psi, psi.conj()) / np.vdot(psi, psi), 0.01)
+    [got], _ = ideal_decode_batch([rho], SQ, grid=40)
+    x, w = np.polynomial.legendre.leggauss(60)
+    half = 2 ** -1.5
+    t = zak_fock_overlap_table(SQ, half * x, half * x, rho.shape[0] - 1)
+    raw = np.einsum("akln,nm,bklm,k,l->ab", t, rho, t.conj(), half * w, half * w, optimize=True)
+    assert np.max(np.abs(got - raw / np.real(np.trace(raw)))) < 1e-12
+
+
 def test_decode_grid_convergence_guard():
     rho = np.zeros((80, 80), dtype=complex)
     rho[79, 79] = 1.0  # highly oscillatory state needs a fine grid

@@ -9,6 +9,7 @@ from scipy.integrate import dblquad
 from scipy.special import erf as _scipy_erf
 
 from gkpsim.charfun import (
+    DIAG_DELTA,
     ChannelCharFn,
     GaussianKernel,
     compose,
@@ -38,6 +39,7 @@ from gkpsim.metrics import (
     cptp_diagnostics,
     lowdin_orthonormalize,
 )
+from gkpsim.symplectic import omega
 
 SQ = square_code()
 CELL = voronoi_box(SQ)
@@ -286,6 +288,71 @@ def test_window_coefficients_are_bit_identical_to_per_pair_integrals():
     got, _ = window_coefficients(SQ, CELL, cf, TruncationSpec(2))
     expect = _memo_free_coefficients(cf, TruncationSpec(2), None)
     assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
+
+
+# ---------------------------------------------------------------------------
+# the per-label pieces of a pair's exponent
+
+
+def _form_oracle(kernel, code, s, t):
+    """(b_v, const) of c_{s,t}(v, v) by the per-pair matrix formula, or None
+    off the diagonal of a DIAG_DELTA kernel."""
+    q, lin = kernel.q_matrix, kernel.linear
+    ls, lt = code.dual_vector(s), code.dual_vector(t)
+    if kernel.kind == DIAG_DELTA:
+        return (2 * q @ ls + lin, ls @ q @ ls + lin @ ls) if s == t else None
+    n = kernel.n_modes
+    j = np.vstack([np.eye(2 * n), np.eye(2 * n)])
+    c0 = np.concatenate([ls, lt])
+    return (2 * j.T @ q @ c0 + j.T @ lin + 1j * np.pi * (omega(n) @ (ls - lt)),
+            c0 @ q @ c0 + lin @ c0)
+
+
+def _kernel(family, delta_db, param, term):
+    delta = 10 ** (-delta_db / 20)
+    cf = {
+        "envelope": lambda: envelope_charfun(delta),
+        "loss": lambda: compose(loss_charfun(param), envelope_charfun(delta)),
+        "displacement": lambda: compose(random_displacement_charfun(np.sqrt(param)), envelope_charfun(delta)),
+        "displacement alone": lambda: random_displacement_charfun(np.sqrt(param)),
+        "dephasing": lambda: dephased_envelope_charfun(np.sqrt(param), delta, nodes=8),
+    }[family]()
+    return cf.terms[term % len(cf.terms)][1]
+
+
+_LABEL = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(family=st.sampled_from(["envelope", "loss", "displacement", "displacement alone", "dephasing"]),
+       delta_db=st.floats(6, 26), param=st.floats(0.001, 0.05), term=st.integers(0, 7),
+       hexagonal=st.booleans(), s=_LABEL, t=st.one_of(st.none(), _LABEL))
+def test_pair_exponent_from_label_pieces_matches_per_pair_formula(family, delta_db, param, term,
+                                                                  hexagonal, s, t):
+    t = s if t is None else t  # the diagonal, where a DIAG_DELTA kernel lives
+    kernel = _kernel(family, delta_db, param, term)
+    code, cell = (HEX, HEX_CELL) if hexagonal else (SQ, CELL)
+    work = logical._TermWork(kernel, code, cell)
+    work.prime(TruncationSpec(2).window(2))
+    got, expect = work.form(s, t), _form_oracle(kernel, code, s, t)
+    if expect is None:
+        assert got is None
+        return
+    scale = max(np.max(np.abs(expect[0])), abs(expect[1]))
+    assert np.max(np.abs(np.asarray(got[0]) - expect[0])) <= 1e-12 * scale
+    assert abs(got[1] - expect[1]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("family", ["dephasing", "displacement alone"])
+def test_label_primed_alone_has_the_bits_of_a_window(family):
+    kernel = _kernel(family, 18.0, 0.01, 5)
+    window = TruncationSpec(2).window(2)
+    together = logical._TermWork(kernel, HEX, HEX_CELL)
+    together.prime(window)
+    for s in window:
+        alone = logical._TermWork(kernel, HEX, HEX_CELL)
+        alone.prime([s])
+        assert repr(alone.pieces[s]) == repr(together.pieces[s])
 
 
 def _two_terms():
