@@ -172,7 +172,8 @@ SWEEP_COLUMNS = ["delta_db", "nbar_est", "noise_param", "avg_gate_infidelity",
 
 
 # The keys of each subcommand's config and their defaults.  A list of numbers
-# is a grid, an int a count, a bool a flag; README.md documents each key.
+# is a grid, a list of strings a list of names, an int a count, a bool a flag;
+# README.md documents each key.
 SWEEP_KEYS = {"noise": "envelope", "delta_db": [10.0], "noise_param": [0.0], "smax": 1,
               "quadrature_nodes": 64, "baseline": False, "code": None}
 BLOCH_KEYS = {"delta_db": [4, 6, 8, 10, 14, 20, 30], "smax": 4}
@@ -183,8 +184,9 @@ ORACLE_KEYS = {"delta_db": [8], "gamma": [0.0, 0.01], "cutoff": 160, "grid": 48,
 
 def _settings(where: str, cfg, defaults: dict) -> dict:
     """defaults overridden by cfg.  A key outside defaults, a count that is
-    not an integer, a flag that is not a boolean, or a grid that is not a list
-    of real numbers raises a ValueError naming the key."""
+    not an integer, a flag that is not a boolean, a grid that is not a list
+    of real numbers, or a list of names that is not a list of strings raises a
+    ValueError naming the key."""
     got = {**defaults, **_checked(where, cfg, (), tuple(defaults))}
     for key, default in defaults.items():
         what = f"{key} in {where}"
@@ -193,11 +195,14 @@ def _settings(where: str, cfg, defaults: dict) -> dict:
                 raise ValueError(f"{what} must be true or false, got {got[key]!r}")
         elif isinstance(default, int):
             got[key] = _integer(got[key], what)
-        elif isinstance(default, list) and not isinstance(default[0], str):
+        elif isinstance(default, list):
             if not isinstance(got[key], list):
                 raise ValueError(f"{what} must be a list, got {got[key]!r}")
             for value in got[key]:
-                _real(value, f"each entry of {what}")
+                if not isinstance(default[0], str):
+                    _real(value, f"each entry of {what}")
+                elif not isinstance(value, str):
+                    raise ValueError(f"each entry of {what} must be a string, got {value!r}")
     return got
 
 

@@ -36,6 +36,7 @@ def hermite_functions_upto(n_max: int, x):
 
 COMB_WINDOW = 30  # |s| bound of the codeword combs
 ZAK_COMB_WINDOW = 20  # |s| bound of the Zak-state combs in the decoder
+LOSS_KRAUS_MAX = 40  # largest photon number j lost in the truncated loss Kraus sum
 
 
 def _damped_combs(delta: float, cutoff: int) -> np.ndarray:
@@ -72,8 +73,9 @@ def codeword_gram(delta: float, cutoff: int) -> np.ndarray:
     return (vecs @ vecs.T).astype(complex)
 
 
-def apply_loss(rho: np.ndarray, gamma: float, j_max: int = 40) -> np.ndarray:
-    """Kraus sum of pure loss; raises if the truncated sum loses more than 1e-12 of the trace."""
+def apply_loss(rho: np.ndarray, gamma: float) -> np.ndarray:
+    """Kraus sum of pure loss over j = 0..LOSS_KRAUS_MAX lost photons; raises
+    if the truncated sum loses more than 1e-12 of the trace."""
     if gamma == 0:
         return rho.copy()
     if not 0 < gamma < 1:
@@ -85,7 +87,7 @@ def apply_loss(rho: np.ndarray, gamma: float, j_max: int = 40) -> np.ndarray:
     out = np.zeros_like(rho)
     k = np.diag(damp)
     ratio = gamma / (1 - gamma)
-    for j in range(j_max + 1):
+    for j in range(LOSS_KRAUS_MAX + 1):
         if j > 0:
             k = a_op @ k * np.sqrt(ratio / j)
         out += k @ rho @ k.conj().T

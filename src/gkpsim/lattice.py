@@ -304,44 +304,14 @@ class VoronoiCell(PrimitiveCell):
         return bool(np.all(v @ rels.T <= 0.5 * np.sum(rels ** 2, axis=1) + tol))
 
     def vertices_2d(self) -> np.ndarray:
-        """Polygon vertices (counterclockwise) for 2D cells."""
+        """Polygon vertices (counterclockwise) for 2D cells: each solves
+        r . x = |r|^2 / 2 for two relevant vectors adjacent in angle."""
         if self.dim != 2:
             raise ValueError("vertices_2d requires a 2D cell")
-        poly = _clip_halfplanes(self.relevant_vectors())
-        return poly
-
-
-def _clip_halfplanes(rels: np.ndarray) -> np.ndarray:
-    """Intersect half-planes {x . r <= |r|^2/2} starting from a large square."""
-    big = 4.0 * np.max(np.linalg.norm(rels, axis=1))
-    poly = [
-        np.array([-big, -big]),
-        np.array([big, -big]),
-        np.array([big, big]),
-        np.array([-big, big]),
-    ]
-    for r in rels:
-        b = 0.5 * (r @ r)
-        out = []
-        m = len(poly)
-        for i in range(m):
-            p, q = poly[i], poly[(i + 1) % m]
-            pin, qin = p @ r <= b + 1e-14, q @ r <= b + 1e-14
-            if pin:
-                out.append(p)
-            if pin != qin:
-                t = (b - p @ r) / ((q - p) @ r)
-                out.append(p + t * (q - p))
-        poly = out
-        if not poly:
-            break
-    pts = np.array(poly)
-    # deduplicate
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if np.linalg.norm(p - keep[-1]) > 1e-12 and np.linalg.norm(p - keep[0]) > 1e-12:
-            keep.append(p)
-    return np.array(keep)
+        rels = self.relevant_vectors()
+        rels = rels[np.argsort(np.arctan2(rels[:, 1], rels[:, 0]))]
+        facets = np.stack([rels, np.roll(rels, -1, axis=0)], axis=1)
+        return np.linalg.solve(facets, 0.5 * np.sum(facets ** 2, axis=2)[:, :, None])[:, :, 0]
 
 
 class TransformedCell(PrimitiveCell):

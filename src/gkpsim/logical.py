@@ -343,25 +343,17 @@ def _cell_quadrature_points(cell: PrimitiveCell, order: int):
             wt = np.outer(wt, ww).ravel()
         return pts, wt
     if isinstance(cell, VoronoiCell) and cell.dim == 2:
-        poly = cell.vertices_2d()
-        centroid = poly.mean(axis=0)
-        pts_all, wts_all = [], []
-        xi = (x + 1) / 2
-        wi = w / 2
-        for i in range(len(poly)):
-            v0, v1, v2 = centroid, poly[i], poly[(i + 1) % len(poly)]
-            # collapsed-square map onto the triangle (v0, v1, v2)
-            xx, yy = np.meshgrid(xi, xi, indexing="ij")
-            px = (1 - xx) * v0[0] + xx * ((1 - yy) * v1[0] + yy * v2[0])
-            py = (1 - xx) * v0[1] + xx * ((1 - yy) * v1[1] + yy * v2[1])
-            e1x = -v0[0] + (1 - yy) * v1[0] + yy * v2[0]
-            e1y = -v0[1] + (1 - yy) * v1[1] + yy * v2[1]
-            e2x = xx * (v2[0] - v1[0])
-            e2y = xx * (v2[1] - v1[1])
-            jac = np.abs(e1x * e2y - e1y * e2x)
-            pts_all.append(np.stack([px.ravel(), py.ravel()], axis=1))
-            wts_all.append((np.outer(wi, wi) * jac).ravel())
-        return np.concatenate(pts_all), np.concatenate(wts_all)
+        # triangles (0, v_i, v_{i+1}) fanned from the lattice point, each the
+        # image of the collapsed-square map p = x ((1 - y) v_i + y v_{i+1}),
+        # whose Jacobian is x |v_i x v_{i+1}|
+        v = cell.vertices_2d()
+        vn = np.roll(v, -1, axis=0)
+        xi, wi = (x + 1) / 2, w / 2
+        xx, yy = xi[:, None, None], xi[None, :, None]
+        pts = xx * ((1 - yy) * v[:, None, None, :] + yy * vn[:, None, None, :])
+        cross = np.abs(v[:, 0] * vn[:, 1] - v[:, 1] * vn[:, 0])
+        wts = cross[:, None, None] * (xi * wi)[:, None] * wi
+        return pts.reshape(-1, 2), wts.ravel()
     raise ValueError(f"no quadrature rule for cell type {type(cell).__name__} in dim {cell.dim}")
 
 

@@ -27,7 +27,6 @@ ALLOWED_DEFAULTS = {
     "cli.main(argv)",
     "cli.sweep_point(cell)",
     "cli.sweep_point(code)",
-    "fock.apply_loss(j_max)",
     "fock.ideal_decode_batch(grid)",
     "lattice.BoxCell.contains(tol)",
     "lattice.PrimitiveCell.contains(tol)",

@@ -211,6 +211,8 @@ def test_misspelt_config_key_raises(tmp_path, command, cfg, key):
     ("lattice-report", {"symmetric_cell": 1}, "symmetric_cell in lattice-report config must be true or false"),
     ("oracle-check", {"cutoff": 120.5}, "cutoff in oracle-check config must be an integer"),
     ("oracle-check", {"grid": 12.5}, "grid in oracle-check config must be an integer"),
+    ("clifford-check", {"gates": "HS"}, "gates in clifford-check config must be a list"),
+    ("clifford-check", {"gates": [1]}, "each entry of gates in clifford-check config must be a string"),
 ])
 def test_config_value_of_the_wrong_kind_raises(tmp_path, command, cfg, message):
     with pytest.raises(ValueError, match=message):

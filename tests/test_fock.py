@@ -87,10 +87,11 @@ def test_loss_single_photon():
 
 
 def test_loss_trace_guard():
-    rho = np.zeros((30, 30), dtype=complex)
-    rho[29, 29] = 1.0
+    # |59><59| at gamma 0.9 loses about 53 photons, beyond the LOSS_KRAUS_MAX Kraus terms
+    rho = np.zeros((60, 60), dtype=complex)
+    rho[59, 59] = 1.0
     with pytest.raises(ValueError, match="converged"):
-        apply_loss(rho, 0.4, j_max=2)
+        apply_loss(rho, 0.9)
 
 
 def test_dephasing_diagonal_phases():

@@ -20,7 +20,7 @@ from gkpsim.charfun import (
     random_displacement_charfun,
 )
 from gkpsim import cli, logical
-from gkpsim.lattice import VoronoiCell, hexagonal_code, square_code, voronoi_box
+from gkpsim.lattice import GkpCode, VoronoiCell, hexagonal_code, square_code, voronoi_box
 from gkpsim.logical import (
     DecayViolationError,
     LogicalSuperop,
@@ -39,7 +39,7 @@ from gkpsim.metrics import (
     cptp_diagnostics,
     lowdin_orthonormalize,
 )
-from gkpsim.symplectic import omega
+from gkpsim.symplectic import omega, rotation
 
 SQ = square_code()
 CELL = voronoi_box(SQ)
@@ -224,6 +224,37 @@ def test_numeric_cell_integral_zero_kernel():
     kern.amp = 0.0
     val, err = numeric_cell_integral(kern, SQ, VoronoiCell(SQ), (0, 0), (0, 0))
     assert val == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(theta=st.floats(0, 2 * np.pi), squeeze=st.floats(-1, 1), shear=st.floats(-1.5, 1.5),
+       d=st.integers(1, 3), coeffs=st.lists(st.floats(-2, 2), min_size=6, max_size=6))
+def test_voronoi_polygon_and_rule_on_random_codes(theta, squeeze, shear, d, coeffs):
+    sigma = rotation(theta) @ np.diag([np.exp(squeeze), np.exp(-squeeze)]) @ [[1, shear], [0, 1]]
+    code = GkpCode(sigma, (d,))
+    # a coset minimum is at most sqrt(2) sigma_max, and radius 17 proves it while
+    # sigma_max / sigma_min < 35 / sqrt(2); these Sigma stay below 24.2
+    cell = VoronoiCell(code, radius=17)
+    verts, rels = cell.vertices_2d(), cell.relevant_vectors()
+    # the facets r . x = |r|^2 / 2 that each vertex lies on; neighbours share one
+    on = np.abs(verts @ rels.T - 0.5 * np.sum(rels ** 2, axis=1)) <= 1e-12
+    assert np.all(on.sum(axis=1) >= 2)
+    assert np.all(np.any(on & np.roll(on, -1, axis=0), axis=1))
+    nxt = np.roll(verts, -1, axis=0)
+    cross = verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]
+    assert np.all(cross > 0)  # counterclockwise about the lattice point
+    area = abs(np.linalg.det(code.dual_basis()))
+    assert abs(cross.sum() / 2 - area) <= 1e-12
+    # order 3 already integrates a quadratic exactly, so orders 3 and 12 agree
+    c0, b0, b1, q00, q01, q11 = coeffs
+    integrals = []
+    for order in (3, 12):
+        pts, wts = logical._cell_quadrature_points(cell, order)
+        assert abs(wts.sum() - area) <= 1e-12
+        assert all(cell.contains(p, tol=1e-9) for p in pts)
+        x, y = pts.T
+        integrals.append((c0 + b0 * x + b1 * y + q00 * x * x + q01 * x * y + q11 * y * y) @ wts)
+    assert abs(integrals[0] - integrals[1]) <= 1e-12 * max(1.0, abs(integrals[1]))
 
 
 # ---------------------------------------------------------------------------
