@@ -4,31 +4,28 @@ subsystem decomposition.
 The package computes the qudit-level channel induced by bosonic noise
 (envelope, loss, Gaussian displacements, white-noise dephasing) acting on
 single- and multi-mode GKP codes, analytically for square codes and by
-quadrature otherwise, together with the lattice/decoder geometry and a
-truncated-Fock oracle for cross-validation.
+quadrature otherwise, together with the lattice/decoder geometry (primitive
+cells, the shortest displacements that decode to a logical error, which
+logical Cliffords keep a cell) and a truncated-Fock oracle for
+cross-validation.
 """
 
 from .charfun import (
     ChannelCharFn,
     GaussianKernel,
-    amplification_charfun,
     compose,
     dephased_envelope_charfun,
     envelope_charfun,
     gaussian_channel_charfun,
-    gaussian_unitary_charfun,
     identity_charfun,
     loss_charfun,
     random_displacement_charfun,
-    transform_gaussian_state,
 )
 from .lattice import (
     BoxCell,
     GkpCode,
     PrimitiveCell,
     ShiftedUnionCell,
-    TransformedCell,
-    UnionCell,
     VoronoiCell,
     code_from_config,
     hexagonal_code,
@@ -62,25 +59,6 @@ from .metrics import (
     lowdin_orthonormalize,
     ortho_matrix_from_gram,
 )
-from .states import (
-    CLIFFORD_TABLE,
-    DecompositionParams,
-    EntangledKet,
-    KetTerm,
-    SubsystemKet,
-    apply_clifford,
-    binned_lst_decode,
-    binned_pauli_action,
-    cell_transform,
-    clifford_from_symplectic,
-    decompose_wavefunction,
-    fold,
-    gaussian_transform,
-    partial_trace,
-    square_cell_grid,
-    unfold,
-    zak_position_amplitudes,
-)
-from .symplectic import check_symplectic, omega, standard_form, symplectic_product
+from .symplectic import check_symplectic, omega, standard_form
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from .charfun import (
     random_displacement_charfun,
 )
 from .lattice import (
+    CLIFFORD_SYMPLECTICS,
     _checked,
     _integer,
     _real,
@@ -53,7 +54,6 @@ from .metrics import (
     fock_qubit_baseline,
     lowdin_orthonormalize,
 )
-from .states import CLIFFORD_TABLE
 from .symplectic import standard_form
 
 # A double-precision channel is rebuilt at FALLBACK_DPS digits when some of
@@ -270,10 +270,10 @@ def cmd_clifford_check(cfg: dict, out):
     code, cell = code_from_config(opts["code"])
     verdicts = {}
     for gate in opts["gates"]:
-        if gate not in CLIFFORD_TABLE:
+        if gate not in CLIFFORD_SYMPLECTICS:
             raise ValueError(f"unknown gate {gate!r} in clifford-check config; "
-                             f"known gates: {', '.join(CLIFFORD_TABLE)}")
-        n_a = CLIFFORD_TABLE[gate][0].astype(float)
+                             f"known gates: {', '.join(CLIFFORD_SYMPLECTICS)}")
+        n_a = CLIFFORD_SYMPLECTICS[gate].astype(float)
         if n_a.shape[0] != 2 * code.n_modes:
             continue
         s_a = code.sigma @ n_a @ np.linalg.inv(code.sigma)

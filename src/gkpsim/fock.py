@@ -98,18 +98,10 @@ def apply_loss(rho: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def apply_dephasing(rho: np.ndarray, sigma: float) -> np.ndarray:
-    """64-node Gauss-Hermite average of e^{i phi n} rho e^{-i phi n} over phi ~ N(0, sigma^2)."""
-    if sigma == 0:
-        return rho.copy()
-    xs, ws = np.polynomial.hermite.hermgauss(64)
-    cutoff = rho.shape[0]
-    ns = np.arange(cutoff)
-    out = np.zeros_like(rho, dtype=complex)
-    for x, w in zip(xs, ws):
-        phi = np.sqrt(2) * sigma * x
-        ph = np.exp(1j * phi * ns)
-        out += (w / np.sqrt(np.pi)) * (ph[:, None] * rho * ph.conj()[None, :])
-    return out
+    """The average of e^{i phi n} rho e^{-i phi n} over phi ~ N(0, sigma^2), exactly:
+    rho_nm -> rho_nm e^{-sigma^2 (n - m)^2 / 2}."""
+    ns = np.arange(rho.shape[0])
+    return rho * np.exp(-0.5 * sigma ** 2 * (ns[:, None] - ns[None, :]) ** 2)
 
 
 def zak_fock_overlap_table(code: GkpCode, k1_vals, k2_vals, n_max: int) -> np.ndarray:

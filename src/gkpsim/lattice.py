@@ -1,4 +1,5 @@
-"""GKP codes as symplectic lattices: dual lattices, primitive cells, decoding geometry.
+"""GKP codes as symplectic lattices: dual lattices, primitive cells, decoding geometry
+and the integral symplectic matrices of the logical Cliffords.
 
 A code is specified by a symplectic matrix Sigma and a dimension vector d.
 Stabilizer generators are m_J = sqrt(d_{J mod n}) * (Sigma column J) and the
@@ -314,42 +315,6 @@ class VoronoiCell(PrimitiveCell):
         return np.linalg.solve(facets, 0.5 * np.sum(facets ** 2, axis=2)[:, :, None])[:, :, 0]
 
 
-class TransformedCell(PrimitiveCell):
-    """Image S*P of a cell under a linear map."""
-
-    def __init__(self, s_matrix, base: PrimitiveCell):
-        self.s = np.asarray(s_matrix, dtype=float)
-        self.s_inv = np.linalg.inv(self.s)
-        self.base = base
-        self.dim = base.dim
-
-    def remainder(self, v):
-        rem, shift = self.base.remainder(self.s_inv @ np.asarray(v, dtype=float))
-        return self.s @ rem, self.s @ shift
-
-
-class UnionCell(PrimitiveCell):
-    """Disjoint union of offset copies of a base cell (produced by unfolding).
-
-    The base cell tiles under the fine dual lattice; the union tiles under the
-    coarser dual lattice whose membership is decided by `coarse_test`.
-    """
-
-    def __init__(self, base: PrimitiveCell, offsets, coarse_test):
-        self.base = base
-        self.offsets = [np.asarray(o, dtype=float) for o in offsets]
-        self.coarse_test = coarse_test
-        self.dim = base.dim
-
-    def remainder(self, v):
-        v = np.asarray(v, dtype=float)
-        for off in self.offsets:
-            rem, shift = self.base.remainder(v - off)
-            if self.coarse_test(shift):
-                return rem + off, shift
-        raise RuntimeError("union cell does not tile: no offset matched")
-
-
 @dataclass
 class ShiftedPiece:
     box: BoxCell
@@ -470,6 +435,18 @@ def shortest_error_length(code: GkpCode, cell: PrimitiveCell, which: str = "any"
     if not np.isfinite(best):
         raise ValueError(f"no boundary of class {which!r}")
     return best
+
+
+# N_A of the logical Cliffords, with U_A P(s) U_A^dag proportional to P(N_A s)
+# (logical.pauli_matrix); on a code, A is the Gaussian unitary of
+# S_A = Sigma N_A Sigma^{-1}
+CLIFFORD_SYMPLECTICS = {
+    "H": np.array([[0, -1], [1, 0]]),
+    "S": np.array([[1, 0], [1, 1]]),
+    "R": np.array([[1, -1], [1, 0]]),
+    "CZ": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]),
+    "CNOT": np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]]),
+}
 
 
 def is_cell_invariant(s_matrix, cell: PrimitiveCell) -> bool:

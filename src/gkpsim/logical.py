@@ -4,7 +4,7 @@ qudit channel N(rho) = sum_{a,b} chi[a, b] P(a) rho P(b)^dag.
 window_coefficients integrates the raw coefficients c_{s,t} of
 N(rho) = sum_{s,t} c_{s,t} P(s) rho P(t)^dag over a truncated dual-lattice
 window: box cells analytically (per-coordinate complex Gaussians via the
-complex error function), other bounded cells by tensor/triangle quadrature.
+complex error function), 2D Voronoi cells by triangle quadrature.
 Only b_v and const of the restricted exponent change from one (s, t) pair
 to the next, and both are affine in each label, so window_coefficients
 computes the rest of each kernel term once: the restricted form Q_v, the box
@@ -330,18 +330,8 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
 
 
 def _cell_quadrature_points(cell: PrimitiveCell, order: int):
-    """(points, weights) covering the cell exactly (box tensor or triangulated polygon)."""
+    """(points, weights) covering a 2D Voronoi cell exactly (triangulated polygon)."""
     x, w = np.polynomial.legendre.leggauss(order)
-    if isinstance(cell, BoxCell):
-        axes = []
-        for lo, hi in cell.intervals:
-            axes.append(((hi - lo) / 2 * x + (hi + lo) / 2, (hi - lo) / 2 * w))
-        grids = np.meshgrid(*[a for a, _ in axes], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wt = axes[0][1]
-        for _, ww in axes[1:]:
-            wt = np.outer(wt, ww).ravel()
-        return pts, wt
     if isinstance(cell, VoronoiCell) and cell.dim == 2:
         # triangles (0, v_i, v_{i+1}) fanned from the lattice point, each the
         # image of the collapsed-square map p = x ((1 - y) v_i + y v_{i+1}),

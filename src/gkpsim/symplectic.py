@@ -19,14 +19,6 @@ def omega(n: int) -> np.ndarray:
     return np.block([[z, i], [-i, z]])
 
 
-def symplectic_product(u, v) -> float:
-    """u^T Omega v for two 2n-vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = u.shape[-1] // 2
-    return float(u[:n] @ v[n:] - u[n:] @ v[:n])
-
-
 def check_symplectic(m, tol: float = SYMPLECTIC_TOL) -> bool:
     """True iff ||M^T Omega M - Omega||_max <= tol.
 

@@ -22,7 +22,6 @@ from gkpsim import cli
 ALLOWED_DEFAULTS = {
     "charfun.dephased_envelope_charfun(nodes)",
     "charfun.gaussian_channel_charfun(check_cptp)",
-    "charfun.hermitian_defect(n_samples)",
     "charfun.identity_charfun(n)",
     "cli.main(argv)",
     "cli.sweep_point(cell)",
@@ -50,10 +49,6 @@ ALLOWED_DEFAULTS = {
     "logical.window_coefficients(quad_order)",
     "logical.window_coefficients(trunc)",
     "metrics.average_gate_fidelity(warn)",
-    "states.apply_clifford(gate)",
-    "states.decompose_wavefunction(window)",
-    "states.square_cell_grid(order)",
-    "states.zak_position_amplitudes(window)",
     "symplectic.assert_symplectic(name)",
     "symplectic.assert_symplectic(tol)",
     "symplectic.check_symplectic(tol)",

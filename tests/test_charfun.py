@@ -8,20 +8,23 @@ from hypothesis import strategies as st
 from gkpsim.charfun import (
     FULL,
     ChannelCharFn,
-    amplification_charfun,
     compose,
     dephased_envelope_charfun,
     envelope_charfun,
     gaussian_channel_charfun,
-    gaussian_unitary_charfun,
-    hermitian_defect,
     identity_charfun,
     loss_charfun,
     random_displacement_charfun,
+)
+from gkpsim.symplectic import omega, rotation
+
+from charfun_checks import (
+    amplification_charfun,
+    gaussian_unitary_charfun,
+    hermitian_defect,
     trace_preservation_defect,
     transform_gaussian_state,
 )
-from gkpsim.symplectic import omega, rotation
 
 RNG = np.random.default_rng(42)
 

@@ -17,12 +17,16 @@ of 30-digit arithmetic, so only their size is checked.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import gkpsim
 from gkpsim import cli
 
 REL = 1e-9
@@ -174,6 +178,12 @@ def test_clifford_check(tmp_path, code, verdicts):
     assert got == {"code": code, "cell_invariant": verdicts}
 
 
+def test_clifford_check_two_modes_skips_single_mode_gates(tmp_path):
+    code = {"name": "square", "params": {"n": 2}}
+    got = json.loads(_run(tmp_path, "clifford-check", {"code": code, "gates": ["H", "S", "R", "CZ", "CNOT"]}))
+    assert got == {"code": code, "cell_invariant": {"CZ": False, "CNOT": False}}
+
+
 def test_clifford_check_unknown_gate_raises(tmp_path):
     with pytest.raises(ValueError, match="unknown gate 'T' in clifford-check config; known gates: H, S, R, CZ"):
         _run(tmp_path, "clifford-check", {"gates": ["H", "T"]})
@@ -217,6 +227,25 @@ def test_misspelt_config_key_raises(tmp_path, command, cfg, key):
 def test_config_value_of_the_wrong_kind_raises(tmp_path, command, cfg, message):
     with pytest.raises(ValueError, match=message):
         _run(tmp_path, command, cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"noise": "loss", "delta_db": [8], "noise_param": [0.01]},
+    {"noise": "dephasing", "delta_db": [8], "noise_param": [0.01], "quadrature_nodes": 8},
+    {"noise": "envelope", "delta_db": [10], "code": HEX_CODE},
+], ids=["square-box", "dephasing-8-nodes", "hexagonal-voronoi"])
+def test_sweep_output_is_byte_for_byte_deterministic(tmp_path, cfg):
+    # two fresh interpreters and this one print the same bytes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(gkpsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outs = [subprocess.run([sys.executable, "-m", "gkpsim.cli", "sweep", "--config", str(cfg_path)],
+                           env=env, capture_output=True, check=True).stdout for _ in range(2)]
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 0
+    outs.append((tmp_path / "out.csv").read_bytes())
+    assert outs[0].count(b"\n") == 2
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_integral_float_count_is_accepted(tmp_path):

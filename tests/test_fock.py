@@ -104,6 +104,21 @@ def test_dephasing_diagonal_phases():
     assert out[0, 0] == pytest.approx(0.5)
 
 
+def test_dephasing_is_the_gauss_hermite_average():
+    # the 64-node Gauss-Hermite average of e^{i phi n} rho e^{-i phi n}
+    # over phi ~ N(0, sigma^2) that apply_dephasing once computed
+    sigma = 0.1
+    rng = np.random.default_rng(5)
+    rho = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    ns = np.arange(40)
+    xs, ws = np.polynomial.hermite.hermgauss(64)
+    want = np.zeros_like(rho)
+    for x, w in zip(xs, ws):
+        ph = np.exp(1j * np.sqrt(2) * sigma * x * ns)
+        want += (w / np.sqrt(np.pi)) * (ph[:, None] * rho * ph.conj()[None, :])
+    assert np.max(np.abs(apply_dephasing(rho, sigma) - want)) <= 1e-12
+
+
 def test_zak_overlap_completeness():
     # sum_mu int_V |<mu,k|n>|^2 dk = 1 per Fock level
     x, w = np.polynomial.legendre.leggauss(48)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gkpsim.lattice import (
+    CLIFFORD_SYMPLECTICS,
     BoxCell,
     ShiftedUnionCell,
     VoronoiCell,
@@ -17,7 +18,8 @@ from gkpsim.lattice import (
     square_code,
     voronoi_box,
 )
-from gkpsim.symplectic import omega, rotation
+from gkpsim.logical import pauli_matrix
+from gkpsim.symplectic import check_symplectic, omega, rotation
 
 ALPHA_STAR = 3 ** -0.25
 
@@ -173,6 +175,26 @@ def test_cell_invariance_cz_on_two_squares():
     s_cz = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=float)
     cell = voronoi_box(square_code(2, 2))
     assert not is_cell_invariant(s_cz, cell)
+
+
+def test_clifford_symplectics_are_their_gates():
+    # each gate's unitary in the logical basis, written out
+    unitaries = {
+        "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+        "S": np.diag([1, 1j]),
+        "R": np.array([[1, -1j], [1, 1j]]) / np.sqrt(2),
+        "CZ": np.diag([1, 1, 1, -1]),
+        "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    }
+    assert list(CLIFFORD_SYMPLECTICS) == list(unitaries)
+    for name, n_a in CLIFFORD_SYMPLECTICS.items():
+        u = unitaries[name]
+        assert np.issubdtype(n_a.dtype, np.integer) and check_symplectic(n_a), name
+        dims = (2,) * (len(n_a) // 2)
+        for e in np.eye(len(n_a), dtype=int):
+            # U P(e_j) U^dag is P(N_A e_j), with the phase convention of pauli_matrix
+            got = u @ pauli_matrix(dims, e) @ u.conj().T
+            assert np.max(np.abs(got - pauli_matrix(dims, n_a @ e))) <= 1e-12, (name, e)
 
 
 def test_box_cell_half_open_convention():

@@ -6,7 +6,6 @@ from gkpsim.symplectic import (
     omega,
     rotation,
     standard_form,
-    symplectic_product,
 )
 
 
@@ -32,13 +31,6 @@ def test_check_symplectic_rejects():
         check_symplectic(np.eye(3))
     with pytest.raises(ValueError):
         check_symplectic(np.ones((2, 4)))
-
-
-def test_symplectic_product():
-    u = np.array([1.0, 0.0])
-    v = np.array([0.0, 1.0])
-    assert symplectic_product(u, v) == pytest.approx(1.0)
-    assert symplectic_product(v, u) == pytest.approx(-1.0)
 
 
 def _lattices_equal(m1, m2, tol=1e-8):
