@@ -4,17 +4,20 @@ qudit channel N(rho) = sum_{a,b} chi[a, b] P(a) rho P(b)^dag.
 window_coefficients integrates the raw coefficients c_{s,t} of
 N(rho) = sum_{s,t} c_{s,t} P(s) rho P(t)^dag over a truncated dual-lattice
 window: box cells analytically (per-coordinate complex Gaussians via the
-complex error function), 2D Voronoi cells by triangle quadrature.
+complex error function), 2D Voronoi cells by a slab rule, closed form in y
+and Gauss-Legendre in x: the polygon is cut into vertical slabs, y runs
+between two edges linear in x, and at each x node the y integral is an erf
+difference.
 Only b_v and const of the restricted exponent change from one (s, t) pair
 to the next, and both are affine in each label, so window_coefficients
 computes the rest of each kernel term once: the restricted form Q_v, the box
-cell's axis-aligned and decay checks of it, every quadrature rule with
-p^T Q_v p on its points, the pieces of b_v and const that depend on one
-label only (for every label of the window, as one batch of elementwise
-products), and each distinct 1D factor of a box integral (a product of
-factors that many pairs share, keyed by their exact arguments).  A pair then
-adds up its b_v and const from the pieces of its two labels in a few
-scalar operations.  It forgets all of it before the next term and when it
+cell's axis-aligned and decay checks of it, every slab rule with the parts
+of the exponent that depend on x alone, the pieces of b_v and const that
+depend on one label only (for every label of the window, as one batch of
+elementwise products), and each distinct 1D factor of a box integral (a
+product of factors that many pairs share, keyed by their exact arguments).
+A pair then adds up its b_v and const from the pieces of its two labels in
+a few scalar operations.  It forgets all of it before the next term and when it
 returns; each (pair, term) still makes one box_cell_integral or
 numeric_cell_integral call, and such a call on its own computes the pieces
 of just its two labels, with the same bits.
@@ -27,11 +30,12 @@ Faddeeva function instead (_endpoint_parts).  An integral whose Gaussian
 integrand is nonzero but comes out exactly 0 has underflowed, and
 logical_channel counts these in meta["underflowed"]; on quadrature cells
 it records an error estimate of the non-identity diagonal in
-meta["quad_err"].  Passing a digit count dps is the fallback for an
-underflowed channel: the box integrals then run in a private mpmath context
-at that precision, whose exponent is unbounded, so a fixed ~30 digits serve
-however deep the squeezing; chi is then an object array of mpmath numbers
-and the same metrics apply.
+meta["quad_err"] and the slab rule's order in meta["quad_order"].  Passing
+a digit count dps is the fallback for an underflowed channel: the box
+integrals then run in a private mpmath context at that precision, whose
+exponent is unbounded, so a fixed ~30 digits serve however deep the
+squeezing; chi is then an object array of mpmath numbers and the same
+metrics apply.
 """
 
 from __future__ import annotations
@@ -128,11 +132,11 @@ def _rowdot(x, lab):
 class _TermWork:
     """What the cell integrals of one kernel term on one code and cell share
     over every (s, t) pair: the restricted quadratic form, its checked box
-    diagonal, each quadrature rule with p^T Q_v p on its points, the
-    per-label pieces of the exponent and the distinct 1D factors.  The
-    pieces of a label are computed the first time a pair needs them, or for
-    a whole window at once by prime; everything else the first time a pair
-    needs it.
+    diagonal, each slab rule with the pair-independent parts of its
+    exponent, the per-label pieces of the exponent and the distinct 1D
+    factors.  The pieces of a label are computed the first time a pair
+    needs them, or for a whole window at once by prime; everything else the
+    first time a pair needs it.
 
     FULL: with lbar = lbar(s) and J = (1, 1)^T, the exponent of
     c_{s,t}(v, v) = c(v + lbar(s), v + lbar(t)) e^{i pi v^T Om (lbar(s) - lbar(t))}
@@ -150,7 +154,7 @@ class _TermWork:
         self.kernel, self.code, self.cell = kernel, code, cell
         self.pieces = {}  # tuple(s) -> the pieces of lbar(s)
         self.factors = {}  # (q, b, lo, hi) -> _gaussian_1d_parts
-        self.rules = {}  # order -> (points, weights, p^T Q_v p)
+        self.rules = {}  # order -> the slab rules of orders n and n + n // 2
 
     @functools.cached_property
     def restricted(self):
@@ -219,11 +223,22 @@ class _TermWork:
         return diag.tolist()
 
     def rule(self, order: int):
-        """(points, weights, p^T Q_v p) of the cell rule of the given order."""
+        """The slab rules of orders n = order and n + n // 2 on one set of x
+        nodes: (x, y_lo, y_hi, weights, Q_00 x^2, (Q_01 + Q_10) x, q, sqrt q)
+        with q = -Q_11, where row 0 of the 2-row weight matrix holds the
+        order-n rule and row 1 the other."""
         if order not in self.rules:
-            pts, wts = _cell_quadrature_points(self.cell, order)
             qv = self.restricted[0]
-            self.rules[order] = pts, wts, np.einsum("ki,ij,kj->k", pts, qv, pts)
+            q = complex(-qv[1, 1])
+            if q.real <= 0:
+                raise ValueError("restricted form is not decaying along y; slab rule needs Re q > 0")
+            rules = [_cell_quadrature_points(self.cell, n) for n in (order, order + order // 2)]
+            x, y_lo, y_hi = (np.concatenate([r[i] for r in rules]) for i in range(3))
+            wts = np.zeros((2, x.size))
+            split = rules[0][0].size
+            wts[0, :split], wts[1, split:] = rules[0][3], rules[1][3]
+            self.rules[order] = (x, y_lo, y_hi, wts, qv[0, 0] * x * x, (qv[0, 1] + qv[1, 0]) * x,
+                                 q, cmath.sqrt(q))
         return self.rules[order]
 
 
@@ -330,40 +345,100 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
 
 
 def _cell_quadrature_points(cell: PrimitiveCell, order: int):
-    """(points, weights) covering a 2D Voronoi cell exactly (triangulated polygon)."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    if isinstance(cell, VoronoiCell) and cell.dim == 2:
-        # triangles (0, v_i, v_{i+1}) fanned from the lattice point, each the
-        # image of the collapsed-square map p = x ((1 - y) v_i + y v_{i+1}),
-        # whose Jacobian is x |v_i x v_{i+1}|
-        v = cell.vertices_2d()
-        vn = np.roll(v, -1, axis=0)
-        xi, wi = (x + 1) / 2, w / 2
-        xx, yy = xi[:, None, None], xi[None, :, None]
-        pts = xx * ((1 - yy) * v[:, None, None, :] + yy * vn[:, None, None, :])
-        cross = np.abs(v[:, 0] * vn[:, 1] - v[:, 1] * vn[:, 0])
-        wts = cross[:, None, None] * (xi * wi)[:, None] * wi
-        return pts.reshape(-1, 2), wts.ravel()
-    raise ValueError(f"no quadrature rule for cell type {type(cell).__name__} in dim {cell.dim}")
+    """(x, y_lo, y_hi, weights) of the slab rule of a 2D Voronoi cell.
+
+    The polygon is cut into vertical slabs at its vertex x-coordinates and at
+    x = 0, the lattice point, where the coefficients' Gaussians peak; cuts
+    within 1e-12 of the cell width merge.  Inside a slab y runs between two
+    facets, y_lo(x) and y_hi(x), each linear in x.  Each slab gets order
+    Gauss-Legendre nodes x with the slab's Jacobian in their weights, so
+    sum w (y_hi - y_lo) is the cell's area.
+    """
+    if not (isinstance(cell, VoronoiCell) and cell.dim == 2):
+        raise ValueError(f"no quadrature rule for cell type {type(cell).__name__} in dim {cell.dim}")
+    xs = cell.vertices_2d()[:, 0]
+    left, right = xs.min(), xs.max()
+    cuts = [left]
+    for c in np.sort(np.append(xs, 0.0)):
+        if c - cuts[-1] > 1e-12 * (right - left):
+            cuts.append(c)
+    cuts[-1] = right
+    a, b = np.array(cuts[:-1]), np.array(cuts[1:])
+    # the facet r . v = |r|^2 / 2 is y = slope x + icpt; at a slab's midpoint
+    # the lowest facet above it and the highest below it bound the slab
+    rels = cell.relevant_vectors()
+    rels = rels[rels[:, 1] != 0]
+    slope, icpt = -rels[:, 0] / rels[:, 1], 0.5 * np.sum(rels ** 2, axis=1) / rels[:, 1]
+    at_mid = np.outer((a + b) / 2, slope) + icpt
+    hi = np.where(rels[:, 1] > 0, at_mid, np.inf).argmin(axis=1)
+    lo = np.where(rels[:, 1] < 0, at_mid, -np.inf).argmax(axis=1)
+    t, w = np.polynomial.legendre.leggauss(order)
+    half = ((b - a) / 2)[:, None]
+    x = (a + b)[:, None] / 2 + half * t
+    y_lo = slope[lo][:, None] * x + icpt[lo][:, None]
+    y_hi = slope[hi][:, None] * x + icpt[hi][:, None]
+    return x.ravel(), y_lo.ravel(), y_hi.ravel(), (half * w).ravel()
 
 
-def _quadrature(amp, form, rule) -> complex:
-    """amp * exp(v^T Q v + b^T v + const) integrated by rule = (points, weights, p^T Q p)."""
-    bv, const = form
-    pts, wts, quad = rule
-    return complex(amp * np.exp(quad + pts @ bv + const) @ wts)
+def _erf_diffs(z1, z2):
+    """erf(z2) - erf(z1) elementwise, as a difference of erfc values where
+    both real parts pass 1/2 with one sign.  There |erfc| < |erf|, so the
+    erfc difference keeps more relative precision: with _erf_diff's switch
+    at 4, an erf difference near 1e-7, between erf values near 1, was 2e-11
+    relative off on hexagonal 12 dB envelope coefficients."""
+    same = ((z1.real > 0.5) & (z2.real > 0.5)) | ((z1.real < -0.5) & (z2.real < -0.5))
+    out = np.empty_like(z1)
+    sign = np.sign(z1.real[same])
+    erfc = scipy.special.erfc
+    out[same] = sign * (erfc(sign * z1[same]) - erfc(sign * z2[same]))
+    mixed = ~same
+    out[mixed] = scipy.special.erf(z2[mixed]) - scipy.special.erf(z1[mixed])
+    return out
+
+
+def _quadrature(amp, form, rule):
+    """amp * exp(v^T Q v + b^T v + const) over the cell by the slab rules of
+    _TermWork.rule, as (value at order n, value at order n + n // 2).
+
+    At each x node the y integral is closed form: with q = -Q_11 and
+    beta(x) = (Q_01 + Q_10) x + b_1, the integral of exp(-q y^2 + beta y)
+    from y_lo to y_hi is sqrt(pi) / (2 sqrt q) exp(beta^2 / 4q) times
+    erf(z_2) - erf(z_1), z = sqrt(q) (y - beta / 2q); a node whose erf
+    grows past ERF_GROWTH_MAX takes _endpoint_parts instead.  Its exponent
+    joins the x part, Q_00 x^2 + b_0 x + const, before the one exp.
+    """
+    (b0, b1), const = form
+    x, y_lo, y_hi, wts, xx, xy, q, sq = rule
+    beta = xy + b1
+    center = beta / (2 * q)
+    z1, z2 = sq * (y_lo - center), sq * (y_hi - center)
+    big = np.maximum((-z1 * z1).real, (-z2 * z2).real) > ERF_GROWTH_MAX
+    fine = ~big if big.any() else slice(None)
+    pref = np.empty_like(z1)
+    pref[fine] = np.sqrt(np.pi) / (2 * sq) * _erf_diffs(z1[fine], z2[fine])
+    exponent = xx + b0 * x + const
+    exponent[fine] += beta[fine] * beta[fine] / (4 * q)
+    for k in np.flatnonzero(big):
+        top, pref[k] = _endpoint_parts(q, beta[k], sq, z1[k], z2[k], y_lo[k], y_hi[k])
+        exponent[k] += top
+    v1, v2 = amp * (wts @ (pref * np.exp(exponent)))
+    return complex(v1), complex(v2)
 
 
 def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell, s, t,
                           order: int = 40):
-    """Quadrature of c_{s,t}(v, v) over a bounded cell; returns (value, error_estimate).
+    """Integral of c_{s,t}(v, v) over a 2D Voronoi cell by the slab rule
+    (_quadrature); returns (value, error_estimate).
 
-    The estimate compares two quadrature orders; if it exceeds 1e-9 times
-    max(1, |value|) a warning is issued (never silently swallowed).  POINT
-    kernels integrate exactly by cell membership.  Inside window_coefficients
-    the restricted form, the label pieces and both rules, with p^T Q_v p on
-    their points, come from the term's shared work; on its own the call
-    builds them, so it stays the per-pair oracle.
+    The y integral is closed form, so the rule's only error is the
+    Gauss-Legendre rule in x.  The value is that of order + order // 2, and
+    the estimate is its distance from the value of order, so it bounds the
+    error of the lower order and overstates that of the value returned; if
+    it exceeds 1e-9 times max(1, |value|) a warning is issued (never silently
+    swallowed).  POINT kernels integrate exactly by cell membership.  Inside
+    window_coefficients the restricted form, the label pieces and both rules
+    come from the term's shared work; on its own the call builds them, so it
+    stays the per-pair oracle.
     """
     if kernel.kind == POINT:
         return complex(_point_value(kernel, code, cell, s, t)), 0.0
@@ -371,8 +446,7 @@ def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: Primitive
     form = work.form(s, t)
     if form is None:
         return 0j, 0.0
-    v1 = _quadrature(kernel.amp, form, work.rule(order))
-    v2 = _quadrature(kernel.amp, form, work.rule(order + order // 2))
+    v1, v2 = _quadrature(kernel.amp, form, work.rule(order))
     err = abs(v1 - v2)
     if err > 1e-9 * max(1.0, abs(v2)):
         warnings.warn(f"cell quadrature not converged: estimate {err:.2e} at order {order}")
@@ -551,21 +625,25 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     of how far to trust them: "underflowed", the number of (pair, term)
     integrals that underflowed, and "quad_err", the summed quadrature error
     estimates of the pairs that fold onto the non-identity diagonal of chi
-    (0 on box cells), which bounds the error of sum_{a != I} chi_aa.
+    (0 on box cells).  Each estimate is the distance between the slab rules
+    of orders quad_order and 1.5 quad_order, so the sum bounds the error of
+    sum_{a != I} chi_aa at the lower order and overstates it at the higher
+    order, whose values are kept.
 
     Box cells integrate in closed form, in double precision when dps is None
     and otherwise in a private mpmath context at dps digits (the global
-    mp.mp is never touched); other cells by quadrature, in double precision
-    only.  An integral underflowed when it is exactly 0 although its
-    integrand is not: a FULL kernel (a box integral below the -745 exponent
-    cutoff, or a quadrature whose every point underflowed), or a DIAG_DELTA
-    kernel on s = t.
+    mp.mp is never touched); 2D Voronoi cells by the slab rule, in double
+    precision only.  An integral underflowed when it is exactly 0 although
+    its integrand is not: a FULL kernel (a box integral below the -745
+    exponent cutoff, or a slab rule whose every node underflowed), or a
+    DIAG_DELTA kernel on s = t.
 
     Every (pair, term) makes one box_cell_integral or numeric_cell_integral
-    call, which gives the same bits as a call on its own.  What does not
-    depend on the pair (the restricted form and its box checks, the
-    quadrature rules with p^T Q_v p, the per-label pieces of b_v and const,
-    primed for the whole window in one batch, and the 1D factors) is
+    call, which gives the same bits as a call on its own; a quadrature call
+    evaluates the slab rules of both orders as one array.  What does not
+    depend on the pair (the restricted form and its box checks, the slab
+    rules with the x parts of the exponent, the per-label pieces of b_v and
+    const, primed for the whole window in one batch, and the 1D factors) is
     computed once per kernel term, held in _TERM_WORK for that term only,
     and dropped when the call returns or raises.
     """
@@ -612,12 +690,14 @@ def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     """Logical noise channel of cf on the code/cell decoder: decay precheck,
     window coefficients (in double precision, or at dps digits), then the
     fold into chi (fixed, sorted summation order for reproducibility).
-    meta records s_max, dps, and the "underflowed" and "quad_err" of
-    window_coefficients."""
+    meta records s_max, dps, the "underflowed" and "quad_err" of
+    window_coefficients, and "quad_order", the quadrature order the channel
+    was built at (None on box cells, which integrate in closed form)."""
     _decay_precheck(cf, code, trunc.s_max)
     coeffs, trust = window_coefficients(code, cell, cf, trunc, dps, quad_order)
     ch = LogicalSuperop.from_pauli_pairs(code.dims, coeffs)
-    ch.meta = {"s_max": trunc.s_max, "dps": dps, **trust}
+    ch.meta = {"s_max": trunc.s_max, "dps": dps, **trust,
+               "quad_order": None if isinstance(cell, BoxCell) else quad_order}
     return ch
 
 

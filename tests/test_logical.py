@@ -226,6 +226,13 @@ def test_numeric_cell_integral_zero_kernel():
     assert val == 0
 
 
+def test_slab_rule_refuses_a_form_that_grows_along_y():
+    # the y integral is closed form only for Re q > 0, q = -Q_11
+    kernel = GaussianKernel(1, 1.0 + 0j, [[-1.0, 0.0], [0.0, 0.1]], kind=DIAG_DELTA)
+    with pytest.raises(ValueError, match="not decaying along y"):
+        numeric_cell_integral(kernel, SQ, VoronoiCell(SQ), (0, 0), (0, 0))
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(theta=st.floats(0, 2 * np.pi), squeeze=st.floats(-1, 1), shear=st.floats(-1.5, 1.5),
        d=st.integers(1, 3), coeffs=st.lists(st.floats(-2, 2), min_size=6, max_size=6))
@@ -245,16 +252,57 @@ def test_voronoi_polygon_and_rule_on_random_codes(theta, squeeze, shear, d, coef
     assert np.all(cross > 0)  # counterclockwise about the lattice point
     area = abs(np.linalg.det(code.dual_basis()))
     assert abs(cross.sum() / 2 - area) <= 1e-12
-    # order 3 already integrates a quadratic exactly, so orders 3 and 12 agree
-    c0, b0, b1, q00, q01, q11 = coeffs
-    integrals = []
+    # the slab rule covers the cell: its edges lie in it and bound its area
     for order in (3, 12):
-        pts, wts = logical._cell_quadrature_points(cell, order)
-        assert abs(wts.sum() - area) <= 1e-12
-        assert all(cell.contains(p, tol=1e-9) for p in pts)
-        x, y = pts.T
-        integrals.append((c0 + b0 * x + b1 * y + q00 * x * x + q01 * x * y + q11 * y * y) @ wts)
-    assert abs(integrals[0] - integrals[1]) <= 1e-12 * max(1.0, abs(integrals[1]))
+        x, y_lo, y_hi, wts = logical._cell_quadrature_points(cell, order)
+        assert abs(wts @ (y_hi - y_lo) - area) <= 1e-12
+        edges = np.column_stack([np.concatenate([x, x]), np.concatenate([y_lo, y_hi])])
+        assert all(cell.contains(p, tol=1e-9) for p in edges)
+    # a decaying complex Gaussian, integrated in closed form along y, against
+    # the fan rule at a high order
+    c0, b0, b1, q00, q01, q11 = coeffs
+    m = np.array([[q00, q01], [q01, q11]])
+    kernel = GaussianKernel(1, np.exp(c0), -(m @ m + 0.5 * np.eye(2)) + 0.5j * m, kind=DIAG_DELTA)
+    form = ([b0 + 1j * q11, b1 - 1j * q00], 0.0)
+    _, got = logical._quadrature(kernel.amp, form, logical._TermWork(kernel, code, cell).rule(60))
+    pts, wts = _fan_rule(cell, 80)
+    quad = np.einsum("ki,ij,kj->k", pts, kernel.q_matrix, pts) + pts @ form[0]
+    expect = kernel.amp * np.exp(quad) @ wts
+    assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
+def _fan_rule(cell, order):
+    """(points, weights) of a Gauss-Legendre rule on the triangles (0, v_i,
+    v_{i+1}) fanned from the lattice point to a 2D Voronoi cell's edges, each
+    the image of the collapsed square p = x ((1 - y) v_i + y v_{i+1}), whose
+    Jacobian is x |v_i x v_{i+1}|: an oracle independent of the slab rule."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    v = cell.vertices_2d()
+    vn = np.roll(v, -1, axis=0)
+    xi, wi = (x + 1) / 2, w / 2
+    xx, yy = xi[:, None, None], xi[None, :, None]
+    pts = xx * ((1 - yy) * v[:, None, None, :] + yy * vn[:, None, None, :])
+    cross = np.abs(v[:, 0] * vn[:, 1] - v[:, 1] * vn[:, 0])
+    wts = cross[:, None, None] * (xi * wi)[:, None] * wi
+    return pts.reshape(-1, 2), wts.ravel()
+
+
+def test_slab_coefficients_match_the_fan_rule():
+    # every hexagonal 12 dB envelope coefficient of the S = 1 window, the
+    # smallest near 1e-35; where the y integral is a difference of erf
+    # values near 1 (the (1, 1), (1, 1) coefficient), erf differences in
+    # place of erfc differences were 2e-11 relative off
+    kernel = envelope_charfun(10 ** (-12 / 20)).terms[0][1]
+    work = logical._TermWork(kernel, HEX, HEX_CELL)
+    pts, wts = _fan_rule(HEX_CELL, 80)
+    quad = np.einsum("ki,ij,kj->k", pts, work.restricted[0], pts)
+    window = TruncationSpec(1).window(2)
+    for s in window:
+        for t in window:
+            got, _ = numeric_cell_integral(kernel, HEX, HEX_CELL, s, t)
+            bv, const = work.form(s, t)
+            expect = kernel.amp * np.exp(quad + pts @ bv + const) @ wts
+            assert abs(got - expect) <= 1e-12 * abs(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +734,8 @@ def test_zero_infidelity_alone_does_not_rerun(monkeypatch):
     metas.clear()
     res = cli._analysis(envelope_charfun(10 ** (-30 / 20)), SQ, CELL, 0)
     assert res["infidelity"] == 0
-    assert metas == [{"s_max": 0, "dps": None, "underflowed": 0, "quad_err": 0.0}]
+    assert metas == [{"s_max": 0, "dps": None, "underflowed": 0, "quad_err": 0.0,
+                      "quad_order": None}]
     assert len(calls) == 1
 
 
@@ -703,14 +752,16 @@ def test_underflowed_channel_reruns_at_dps_30(monkeypatch, delta_db):
     assert tp_defect < 1e-25 and min_choi_eig >= -1e-25
 
 
-def test_voronoi_channel_that_underflows_raises():
+def test_voronoi_channel_that_underflows_raises(monkeypatch):
     # the hexagonal code at 30 dB: quadrature coefficients underflow, and
     # mpmath integrates box cells only, so the row refuses instead of
     # printing an underflowed 0
+    metas = _record_channel_meta(monkeypatch)
     hexc = hexagonal_code()
-    with pytest.warns(UserWarning, match="cell quadrature not converged.* at order 40"):
-        with pytest.raises(ValueError, match="box cells"):
-            cli.sweep_point("envelope", 30, 0.0, 0, 64, hexc, VoronoiCell(hexc))
+    with pytest.raises(ValueError, match="box cells"):
+        cli.sweep_point("envelope", 30, 0.0, 0, 64, hexc, VoronoiCell(hexc))
+    assert metas[-1]["quad_order"] == 40
+    assert metas[-1]["underflowed"] > 0
 
 
 @pytest.mark.parametrize("delta_db, sigma2", [(22, 1e-3), (26, 1e-4)])
@@ -727,18 +778,41 @@ def test_dephasing_rows_where_erf_overflows_match_mpmath(delta_db, sigma2):
     assert abs(res["infidelity"] - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("delta_db", [20, 26])
+@pytest.mark.parametrize("delta_db", [12, 20, 23, 26])
 def test_voronoi_quadrature_matches_box_closed_form(monkeypatch, delta_db):
-    # the square code's Voronoi cell is its box, integrated by quadrature;
-    # at 26 dB order 40 is 2e-5 relative off, and the error estimate sends
-    # the channel to higher orders until it is resolved
+    # the square code's Voronoi cell is its box, integrated by the slab rule;
+    # order 40 resolves it up to 20 dB, and at 26 dB the error estimate
+    # sends the channel to order 80
     metas = _record_channel_meta(monkeypatch)
     cf = envelope_charfun(10 ** (-delta_db / 20))
     quad = cli._analysis(cf, SQ, VoronoiCell(SQ), 1)["infidelity"]
-    assert len(metas) > 1
+    assert metas[-1]["quad_order"] == 40 if delta_db <= 20 else metas[-1]["quad_order"] <= 80
     assert metas[-1]["quad_err"] <= cli.QUAD_REL_ERR * quad
     box = cli._analysis(cf, SQ, CELL, 1)["infidelity"]
-    assert abs(quad - box) <= 1e-9 * box
+    assert abs(quad - box) <= 1e-11 * box
+
+
+def test_voronoi_dephasing_row_through_the_endpoint_form_matches_box(monkeypatch):
+    # at 22 dB the dephasing terms' y factors grow past ERF_GROWTH_MAX on
+    # some slab nodes, which take the Faddeeva endpoint form
+    metas = _record_channel_meta(monkeypatch)
+    endpoint_nodes = []
+    parts = logical._endpoint_parts
+
+    def counted(*args):
+        endpoint_nodes.append(args)
+        return parts(*args)
+
+    cf = cli._build_charfun("dephasing", 10 ** (-22 / 20), 1e-3, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with monkeypatch.context() as patch:
+            patch.setattr(logical, "_endpoint_parts", counted)
+            quad = cli._analysis(cf, SQ, VoronoiCell(SQ), 1)["infidelity"]
+        box = cli._analysis(cf, SQ, CELL, 1)["infidelity"]
+    assert endpoint_nodes
+    assert [m["quad_order"] for m in metas] == [40, None]
+    assert abs(quad - box) <= 1e-12 * box
 
 
 def test_quadrature_row_keeps_its_first_order_when_resolved(monkeypatch):
@@ -746,6 +820,7 @@ def test_quadrature_row_keeps_its_first_order_when_resolved(monkeypatch):
     hexc = hexagonal_code()
     cli.sweep_point("loss", 12, 0.01, 0, 64, hexc, VoronoiCell(hexc))
     assert len(metas) == 2
+    assert [m["quad_order"] for m in metas] == [40, 40]
     assert metas[0]["quad_err"] == 0  # S = 0 has no non-identity pair
     assert 0 < metas[1]["quad_err"]
 
