@@ -258,6 +258,7 @@ class VoronoiCell(PrimitiveCell):
         self._offset_points = self._offsets @ self.basis.T
         self._sigma_min = np.linalg.svd(self.basis, compute_uv=False).min()
         self._relevant = None
+        self._vertices = None
 
     def remainder(self, v):
         v = np.asarray(v, dtype=float)
@@ -306,13 +307,17 @@ class VoronoiCell(PrimitiveCell):
 
     def vertices_2d(self) -> np.ndarray:
         """Polygon vertices (counterclockwise) for 2D cells: each solves
-        r . x = |r|^2 / 2 for two relevant vectors adjacent in angle."""
+        r . x = |r|^2 / 2 for two relevant vectors adjacent in angle.  Built
+        once per cell, read-only."""
         if self.dim != 2:
             raise ValueError("vertices_2d requires a 2D cell")
-        rels = self.relevant_vectors()
-        rels = rels[np.argsort(np.arctan2(rels[:, 1], rels[:, 0]))]
-        facets = np.stack([rels, np.roll(rels, -1, axis=0)], axis=1)
-        return np.linalg.solve(facets, 0.5 * np.sum(facets ** 2, axis=2)[:, :, None])[:, :, 0]
+        if self._vertices is None:
+            rels = self.relevant_vectors()
+            rels = rels[np.argsort(np.arctan2(rels[:, 1], rels[:, 0]))]
+            facets = np.stack([rels, np.roll(rels, -1, axis=0)], axis=1)
+            self._vertices = np.linalg.solve(facets, 0.5 * np.sum(facets ** 2, axis=2)[:, :, None])[:, :, 0]
+            self._vertices.flags.writeable = False
+        return self._vertices
 
 
 @dataclass

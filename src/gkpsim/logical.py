@@ -3,30 +3,25 @@ qudit channel N(rho) = sum_{a,b} chi[a, b] P(a) rho P(b)^dag.
 
 window_coefficients integrates the raw coefficients c_{s,t} of
 N(rho) = sum_{s,t} c_{s,t} P(s) rho P(t)^dag over a truncated dual-lattice
-window: box cells analytically (per-coordinate complex Gaussians via the
-complex error function), 2D Voronoi cells by a slab rule, closed form in y
-and Gauss-Legendre in x: the polygon is cut into vertical slabs, y runs
-between two edges linear in x, and at each x node the y integral is an erf
-difference.
+window.  Both cell types come down to one 1D Gaussian factor, the integral
+of exp(-q y^2 + b y) over an interval in closed form (_gaussian_1d): a box
+cell's integral is a product of one factor per coordinate, and a 2D Voronoi
+cell's a slab rule, Gauss-Legendre in x with one factor in y at each x node
+of the polygon's vertical slabs.
 Only b_v and const of the restricted exponent change from one (s, t) pair
 to the next, and both are affine in each label, so window_coefficients
-computes the rest of each kernel term once: the restricted form Q_v, the box
-cell's axis-aligned and decay checks of it, every slab rule with the parts
-of the exponent that depend on x alone, the pieces of b_v and const that
-depend on one label only (for every label of the window, as one batch of
-elementwise products), and each distinct 1D factor of a box integral (a
-product of factors that many pairs share, keyed by their exact arguments).
-A pair then adds up its b_v and const from the pieces of its two labels in
-a few scalar operations.  It forgets all of it before the next term and when it
-returns; each (pair, term) still makes one box_cell_integral or
-numeric_cell_integral call, and such a call on its own computes the pieces
-of just its two labels, with the same bits.
+computes the rest of each kernel term once (_TermWork): the restricted form
+and its checks, the slab rules, the pieces of b_v and const that depend on
+one label only, and a box cell's 1D factors of every label pair, one array
+call per coordinate.  A pair adds up the rest in a few scalar operations.
+All of it is dropped before the next term and when the call returns; each
+(pair, term) still makes one box_cell_integral or numeric_cell_integral
+call, and such a call on its own does the work of just its two labels, with
+the same bits.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
 
-Channels are built in double precision.  A 1D factor whose erf arguments
-would overflow it is built from endpoint values of the integrand and the
-Faddeeva function instead (_endpoint_parts).  An integral whose Gaussian
+Channels are built in double precision.  An integral whose Gaussian
 integrand is nonzero but comes out exactly 0 has underflowed, and
 logical_channel counts these in meta["underflowed"]; on quadrature cells
 it records an error estimate of the non-identity diagonal in
@@ -61,23 +56,67 @@ class DecayViolationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# complex error function
+# the 1D Gaussian factor
 
 
-def _erf_diff(ctx, z1, z2):
-    """erf(z2) - erf(z1) without saturation loss for large same-sign real parts,
-    in double precision (ctx None, Faddeeva-backed scipy) or in the mpmath
-    context ctx."""
-    if ctx is None:
-        z1, z2 = complex(z1), complex(z2)
-        erf, erfc = scipy.special.erf, scipy.special.erfc
-    else:
-        erf, erfc = ctx.erf, ctx.erfc
-    if z1.real > 4 and z2.real > 4:
-        return erfc(z1) - erfc(z2)
-    if z1.real < -4 and z2.real < -4:
-        return erfc(-z2) - erfc(-z1)
-    return erf(z2) - erf(z1)
+# |erf(z)| grows like |exp(-z^2)|; past exp(100) per factor the closed form
+# can overflow a product of a few coordinates (a 22 dB dephasing row: exp(600))
+ERF_GROWTH_MAX = 100.0
+
+
+def _gaussian_1d(q, b, lo, hi):
+    """(exponent, prefactor) arrays with int_lo^hi exp(-q y^2 + b y) dy =
+    prefactor * exp(exponent) elementwise, for one complex q with Re q > 0 and
+    arrays b and lo <= hi that broadcast together, by elementwise operations
+    only, so an element's bits do not depend on the batch.
+
+    With z = sqrt(q) (y - b/2q) the exponent is b^2/4q and the prefactor
+    sqrt(pi) / (2 sqrt q) (erf(z_2) - erf(z_1)), a difference of erfc values
+    where both real parts pass 1/2 with one sign (a difference of erf values
+    near 1 loses relative precision).  Past ERF_GROWTH_MAX it uses
+    exp(b^2/4q) erfc(z) = exp(-q y^2 + b y) w(iz) with the Faddeeva function
+    w, |w(iz)| <= 1 for Re z >= 0: each term is the integrand at an endpoint
+    (or at its peak between them) times a bounded factor, and the exponent
+    is the largest real part among the terms.
+    """
+    sq = cmath.sqrt(q)
+    center = b / (2 * q)
+    z1, z2 = sq * (lo - center), sq * (hi - center)
+    exponent = b * b / (4 * q)
+    big = np.maximum((-z1 * z1).real, (-z2 * z2).real) > ERF_GROWTH_MAX
+    same = ~big & (((z1.real > 0.5) & (z2.real > 0.5)) | ((z1.real < -0.5) & (z2.real < -0.5)))
+    mixed = ~(big | same)
+    diff = np.empty(z1.shape, complex)
+    sign = np.sign(z1.real[same])
+    diff[same] = sign * (scipy.special.erfc(sign * z1[same]) - scipy.special.erfc(sign * z2[same]))
+    diff[mixed] = scipy.special.erf(z2[mixed]) - scipy.special.erf(z1[mixed])
+    if big.any():
+        b, lo, hi = (np.broadcast_to(v, big.shape)[big] for v in (b, lo, hi))
+        z1, z2, peak = z1[big], z2[big], exponent[big]
+        e_lo, e_hi = -q * lo * lo + b * lo, -q * hi * hi + b * hi
+        # w(s i z) with the sign s that makes Re(s z) >= 0; a centre between
+        # the endpoints (s_1 < s_2) adds the peak term 2 exp(b^2/4q)
+        s1 = np.where(z1.real >= 0, 1.0, -1.0)
+        s2 = np.where((z2.real <= 0) & (s1 < 0), -1.0, 1.0)
+        mid = s1 < s2
+        top = np.maximum(e_lo.real, e_hi.real)
+        top[mid] = np.maximum(top[mid], peak[mid].real)
+        d = (s1 * scipy.special.wofz(1j * s1 * z1) * np.exp(e_lo - top)
+             - s2 * scipy.special.wofz(1j * s2 * z2) * np.exp(e_hi - top))
+        d[mid] += 2 * np.exp(peak[mid] - top[mid])
+        diff[big], exponent[big] = d, top
+    return exponent, np.sqrt(np.pi) / (2 * sq) * diff
+
+
+def _gaussian_1d_mp(ctx, q, b, lo, hi):
+    """One element of _gaussian_1d in the mpmath context ctx, with its erfc
+    switch; mpmath's exponent is unbounded, so it needs no endpoint form."""
+    q, b = ctx.mpc(q), ctx.mpc(b)
+    sq = ctx.sqrt(q)
+    z1, z2 = sq * (lo - b / (2 * q)), sq * (hi - b / (2 * q))
+    sign = 1 if z1.real > 0.5 and z2.real > 0.5 else -1 if z1.real < -0.5 and z2.real < -0.5 else 0
+    diff = sign * (ctx.erfc(sign * z1) - ctx.erfc(sign * z2)) if sign else ctx.erf(z2) - ctx.erf(z1)
+    return b * b / (4 * q), ctx.sqrt(ctx.pi) / (2 * sq) * diff
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +172,10 @@ class _TermWork:
     """What the cell integrals of one kernel term on one code and cell share
     over every (s, t) pair: the restricted quadratic form, its checked box
     diagonal, each slab rule with the pair-independent parts of its
-    exponent, the per-label pieces of the exponent and the distinct 1D
-    factors.  The pieces of a label are computed the first time a pair
-    needs them, or for a whole window at once by prime; everything else the
-    first time a pair needs it.
+    exponent, the per-label pieces of the exponent and the box cell's tables
+    of 1D factors over the primed labels.  The pieces of a label are computed
+    the first time a pair needs them, or for a whole window at once by prime;
+    everything else the first time a pair needs it.
 
     FULL: with lbar = lbar(s) and J = (1, 1)^T, the exponent of
     c_{s,t}(v, v) = c(v + lbar(s), v + lbar(t)) e^{i pi v^T Om (lbar(s) - lbar(t))}
@@ -153,7 +192,7 @@ class _TermWork:
     def __init__(self, kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell):
         self.kernel, self.code, self.cell = kernel, code, cell
         self.pieces = {}  # tuple(s) -> the pieces of lbar(s)
-        self.factors = {}  # (q, b, lo, hi) -> _gaussian_1d_parts
+        self.box = None  # (ctx, label -> position, tables per coordinate, mpmath factors)
         self.rules = {}  # order -> the slab rules of orders n and n + n // 2
 
     @functools.cached_property
@@ -200,15 +239,61 @@ class _TermWork:
         _, _, jl, om = self.restricted
         if om is None:
             return pieces[s] if s == t else None
-        a, _, om_s, alpha, _, u, _ = pieces[s]
-        _, b, om_t, _, beta, _, lt = pieces[t]
-        # Om lbar is exact, so pairs with one lbar(s) - lbar(t) get one Omega
-        # term and share the 1D factors it enters
+        a, om_s = pieces[s][0], pieces[s][2]
+        b, om_t = pieces[t][1], pieces[t][2]
         bv = [x + y + c + _IPI * (p - r) for x, y, c, p, r in zip(a, b, jl, om_s, om_t)]
+        return bv, self._const(s, t)
+
+    def _const(self, s, t):
+        """const of a FULL kernel's pair, from the pieces of its primed labels."""
+        _, _, _, alpha, _, u, _ = self.pieces[s]
+        _, _, _, _, beta, _, lt = self.pieces[t]
         const = alpha + beta
         for x, y in zip(u, lt):
             const += x * y
-        return bv, const
+        return const
+
+    def box_form(self, s, t, ctx):
+        """(const, [(exponent, prefactor) of the 1D factor of q = -Q_v[k, k] and
+        b = b_v[k] over interval k, for each k]) of c_{s,t}(v, v) on the box, or
+        None where it vanishes; each distinct mpmath (ctx) factor is computed once."""
+        s, t = tuple(s), tuple(t)
+        box = self.box
+        if box is None or box[0] is not ctx or s not in box[1] or t not in box[1]:
+            self.prime((s, t))
+            box = self.box = ctx, *self._box_tables(ctx), {}
+        _, index, tables, distinct = box
+        if self.restricted[3] is not None:
+            at, const = index[s] * len(index) + index[t], self._const(s, t)
+        elif s == t:
+            at, const = index[s], self.pieces[s][1]
+        else:
+            return None
+        if ctx is None:
+            return const, [(ex.item(at), pf.item(at)) for ex, pf in tables]
+        keys = [table[at] for table in tables]
+        for key in keys:
+            if key not in distinct:
+                distinct[key] = _gaussian_1d_mp(ctx, *key)
+        return const, [distinct[key] for key in keys]
+
+    def _box_tables(self, ctx):
+        """(label -> position, per coordinate the 1D factors of every primed
+        label pair flat in (s, t) order, or label for DIAG_DELTA: arrays of
+        exponents and prefactors, or mpmath arguments, which pairs with one
+        lbar(s) - lbar(t) share through the exact Omega term of b_v)."""
+        _, _, jl, om = self.restricted
+        pieces = list(self.pieces.values())
+        tables = []
+        for k, (q, (lo, hi)) in enumerate(zip(self.box_diag, self.cell.intervals)):
+            b, *rest = (np.array([p[i][k] for p in pieces]) for i in range(1 if om is None else 3))
+            if rest:  # a(s) + b(t) + (J^T L)_k + i pi (Om lbar(s) - Om lbar(t))_k
+                b = (b[:, None] + rest[0] + jl[k] + _IPI * (rest[1][:, None] - rest[1])).ravel()
+            if ctx is None:
+                tables.append(_gaussian_1d(-q, b, lo, hi))
+            else:
+                tables.append([(-q, x, lo, hi) for x in b.tolist()])
+        return {s: i for i, s in enumerate(self.pieces)}, tables
 
     @functools.cached_property
     def box_diag(self):
@@ -224,8 +309,8 @@ class _TermWork:
 
     def rule(self, order: int):
         """The slab rules of orders n = order and n + n // 2 on one set of x
-        nodes: (x, y_lo, y_hi, weights, Q_00 x^2, (Q_01 + Q_10) x, q, sqrt q)
-        with q = -Q_11, where row 0 of the 2-row weight matrix holds the
+        nodes: (x, y_lo, y_hi, weights, Q_00 x^2, (Q_01 + Q_10) x, q) with
+        q = -Q_11, where row 0 of the 2-row weight matrix holds the
         order-n rule and row 1 the other."""
         if order not in self.rules:
             qv = self.restricted[0]
@@ -237,8 +322,7 @@ class _TermWork:
             wts = np.zeros((2, x.size))
             split = rules[0][0].size
             wts[0, :split], wts[1, split:] = rules[0][3], rules[1][3]
-            self.rules[order] = (x, y_lo, y_hi, wts, qv[0, 0] * x * x, (qv[0, 1] + qv[1, 0]) * x,
-                                 q, cmath.sqrt(q))
+            self.rules[order] = x, y_lo, y_hi, wts, qv[0, 0] * x * x, (qv[0, 1] + qv[1, 0]) * x, q
         return self.rules[order]
 
 
@@ -256,62 +340,6 @@ def _term_work(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell) -> _T
     return _TermWork(kernel, code, cell)
 
 
-def _gaussian_1d_parts(ctx, q, b, lo, hi, memo: dict):
-    """(exponent, prefactor) with int_lo^hi exp(-q x^2 + b x) dx = prefactor * exp(exponent).
-
-    Split so callers can sum exponents across coordinates before
-    exponentiating; the factored form overflows double precision in the
-    deeply squeezed regime even though the product is tiny.  A repeated
-    (q, b, lo, hi) returns the first result stored in memo.
-    """
-    key = (q, b, lo, hi)
-    if key not in memo:
-        m, scalar = (np, complex) if ctx is None else (ctx, ctx.mpc)
-        q = scalar(q)
-        b = scalar(b)
-        sq = m.sqrt(q)
-        center = b / (2 * q)
-        z1, z2 = sq * (lo - center), sq * (hi - center)
-        if ctx is None and max((-z1 * z1).real, (-z2 * z2).real) > ERF_GROWTH_MAX:
-            exponent, pref = _endpoint_parts(q, b, sq, z1, z2, lo, hi)
-        else:
-            exponent, pref = b * b / (4 * q), m.sqrt(m.pi) / (2 * sq) * _erf_diff(ctx, z1, z2)
-        memo[key] = exponent, scalar(pref)
-    return memo[key]
-
-
-# |erf(z)| grows like |exp(-z^2)|.  Past exp(100) per factor the split form of
-# _gaussian_1d_parts, a huge erf difference times a tiny exp(b^2/4q), can
-# overflow double precision in a product of a few coordinates (a 22 dB
-# dephasing row has factors near exp(600)), so _endpoint_parts takes over.
-# Below it the split form stays: near z = 0 a difference of erf values keeps
-# the relative precision that a difference of erfc values, each near 1, loses.
-ERF_GROWTH_MAX = 100.0
-
-
-def _endpoint_parts(q, b, sq, z1, z2, lo, hi):
-    """The double-precision (exponent, prefactor) of _gaussian_1d_parts, built
-    from the Faddeeva function w(z) = exp(-z^2) erfc(-iz) instead of erf.
-
-    With z = sqrt(q) (x - b/2q) and E(x) = -q x^2 + b x,
-    exp(b^2/4q) erfc(z) = exp(E(x)) w(iz), and |w(iz)| <= 1 where Re z >= 0, so
-    every term is an endpoint value of the integrand (or, when the Gaussian
-    centre lies between the endpoints, its peak exp(b^2/4q)) times a bounded
-    factor.  The exponent is the largest real part among the terms.
-    """
-    wofz = scipy.special.wofz
-    e_lo, e_hi = -q * lo * lo + b * lo, -q * hi * hi + b * hi
-    if z1.real >= 0:  # erf(z2) - erf(z1) = erfc(z1) - erfc(z2)
-        terms = [(e_lo, wofz(1j * z1)), (e_hi, -wofz(1j * z2))]
-    elif z2.real <= 0:  # = erfc(-z2) - erfc(-z1)
-        terms = [(e_hi, wofz(-1j * z2)), (e_lo, -wofz(-1j * z1))]
-    else:  # = 2 - erfc(-z1) - erfc(z2)
-        terms = [(b * b / (4 * q), 2.0), (e_lo, -wofz(-1j * z1)), (e_hi, -wofz(1j * z2))]
-    top = max(e.real for e, _ in terms)
-    pref = np.sqrt(np.pi) / (2 * sq) * sum(c * np.exp(e - top) for e, c in terms)
-    return top, pref
-
-
 def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t, ctx=None):
     """Exact integral of c_{s,t}(v, v) over a box cell, in double precision
     (ctx None) or in the mpmath context ctx.
@@ -321,27 +349,33 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     kernels follow their density conventions: DIAG_DELTA contributes only for
     lbar(s) = lbar(t), POINT only when the point falls in the cell.  Inside
     window_coefficients the restricted form, its two checks, the label
-    pieces and the 1D factors come from the term's shared work; on its own
-    the call does all of it for its two labels, so it stays the per-pair
-    oracle.
+    pieces and the tables of 1D factors come from the term's shared work; on
+    its own the call does all of it for its two labels, so it stays the
+    per-pair oracle.
     """
     exp, scalar = (cmath.exp, complex) if ctx is None else (ctx.exp, ctx.mpc)
     if kernel.kind == POINT:
         return scalar(_point_value(kernel, code, cell, s, t))
-    work = _term_work(kernel, code, cell)
-    form = work.form(s, t)
+    form = _term_work(kernel, code, cell).box_form(s, t, ctx)
     if form is None:
         return scalar(0.0)
-    bv, const = form
+    const, factors = form
     exponent = scalar(const)
     pref = scalar(kernel.amp)
-    for q, b, (lo, hi) in zip(work.box_diag, bv, cell.intervals):
-        ex, pf = _gaussian_1d_parts(ctx, -q, b, lo, hi, work.factors)
+    for ex, pf in factors:
         exponent = exponent + ex
         pref = pref * pf
     if ctx is None and exponent.real < -745.0:
         return 0.0 + 0.0j  # value underflows double precision
     return pref * exp(exponent)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and built once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _cell_quadrature_points(cell: PrimitiveCell, order: int):
@@ -372,7 +406,7 @@ def _cell_quadrature_points(cell: PrimitiveCell, order: int):
     at_mid = np.outer((a + b) / 2, slope) + icpt
     hi = np.where(rels[:, 1] > 0, at_mid, np.inf).argmin(axis=1)
     lo = np.where(rels[:, 1] < 0, at_mid, -np.inf).argmax(axis=1)
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = _gauss_legendre(order)
     half = ((b - a) / 2)[:, None]
     x = (a + b)[:, None] / 2 + half * t
     y_lo = slope[lo][:, None] * x + icpt[lo][:, None]
@@ -380,48 +414,17 @@ def _cell_quadrature_points(cell: PrimitiveCell, order: int):
     return x.ravel(), y_lo.ravel(), y_hi.ravel(), (half * w).ravel()
 
 
-def _erf_diffs(z1, z2):
-    """erf(z2) - erf(z1) elementwise, as a difference of erfc values where
-    both real parts pass 1/2 with one sign.  There |erfc| < |erf|, so the
-    erfc difference keeps more relative precision: with _erf_diff's switch
-    at 4, an erf difference near 1e-7, between erf values near 1, was 2e-11
-    relative off on hexagonal 12 dB envelope coefficients."""
-    same = ((z1.real > 0.5) & (z2.real > 0.5)) | ((z1.real < -0.5) & (z2.real < -0.5))
-    out = np.empty_like(z1)
-    sign = np.sign(z1.real[same])
-    erfc = scipy.special.erfc
-    out[same] = sign * (erfc(sign * z1[same]) - erfc(sign * z2[same]))
-    mixed = ~same
-    out[mixed] = scipy.special.erf(z2[mixed]) - scipy.special.erf(z1[mixed])
-    return out
-
-
 def _quadrature(amp, form, rule):
     """amp * exp(v^T Q v + b^T v + const) over the cell by the slab rules of
-    _TermWork.rule, as (value at order n, value at order n + n // 2).
-
-    At each x node the y integral is closed form: with q = -Q_11 and
-    beta(x) = (Q_01 + Q_10) x + b_1, the integral of exp(-q y^2 + beta y)
-    from y_lo to y_hi is sqrt(pi) / (2 sqrt q) exp(beta^2 / 4q) times
-    erf(z_2) - erf(z_1), z = sqrt(q) (y - beta / 2q); a node whose erf
-    grows past ERF_GROWTH_MAX takes _endpoint_parts instead.  Its exponent
-    joins the x part, Q_00 x^2 + b_0 x + const, before the one exp.
+    _TermWork.rule, as (value at order n, value at order n + n // 2): at each
+    x node the y integral is the 1D factor of q = -Q_11 and
+    beta(x) = (Q_01 + Q_10) x + b_1 from y_lo to y_hi, whose exponent joins
+    Q_00 x^2 + b_0 x + const before the one exp.
     """
     (b0, b1), const = form
-    x, y_lo, y_hi, wts, xx, xy, q, sq = rule
-    beta = xy + b1
-    center = beta / (2 * q)
-    z1, z2 = sq * (y_lo - center), sq * (y_hi - center)
-    big = np.maximum((-z1 * z1).real, (-z2 * z2).real) > ERF_GROWTH_MAX
-    fine = ~big if big.any() else slice(None)
-    pref = np.empty_like(z1)
-    pref[fine] = np.sqrt(np.pi) / (2 * sq) * _erf_diffs(z1[fine], z2[fine])
-    exponent = xx + b0 * x + const
-    exponent[fine] += beta[fine] * beta[fine] / (4 * q)
-    for k in np.flatnonzero(big):
-        top, pref[k] = _endpoint_parts(q, beta[k], sq, z1[k], z2[k], y_lo[k], y_hi[k])
-        exponent[k] += top
-    v1, v2 = amp * (wts @ (pref * np.exp(exponent)))
+    x, y_lo, y_hi, wts, xx, xy, q = rule
+    exponent, pref = _gaussian_1d(q, xy + b1, y_lo, y_hi)
+    v1, v2 = amp * (wts @ (pref * np.exp(xx + b0 * x + const + exponent)))
     return complex(v1), complex(v2)
 
 
@@ -639,13 +642,9 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     DIAG_DELTA kernel on s = t.
 
     Every (pair, term) makes one box_cell_integral or numeric_cell_integral
-    call, which gives the same bits as a call on its own; a quadrature call
-    evaluates the slab rules of both orders as one array.  What does not
-    depend on the pair (the restricted form and its box checks, the slab
-    rules with the x parts of the exponent, the per-label pieces of b_v and
-    const, primed for the whole window in one batch, and the 1D factors) is
-    computed once per kernel term, held in _TERM_WORK for that term only,
-    and dropped when the call returns or raises.
+    call, with the same bits as a call on its own; each term's _TermWork, its
+    labels primed in one batch, is held in _TERM_WORK for that term only and
+    dropped when the call returns or raises.
     """
     window = trunc.window(2 * code.n_modes)
     use_box = isinstance(cell, BoxCell)

@@ -14,9 +14,9 @@ INTEGRALITY_TOL = 1e-9
 
 def omega(n: int) -> np.ndarray:
     """Symplectic form matrix for n modes."""
-    z = np.zeros((n, n))
-    i = np.eye(n)
-    return np.block([[z, i], [-i, z]])
+    om = np.zeros((2 * n, 2 * n))
+    om[:n, n:], om[n:, :n] = np.eye(n), -np.eye(n)
+    return om
 
 
 def check_symplectic(m, tol: float = SYMPLECTIC_TOL) -> bool:

@@ -63,13 +63,16 @@ def _erf_series(z, terms=60):
     return 2 / np.sqrt(np.pi) * total
 
 
-def _erf(z):
-    # erf(z) = erf(z) - erf(0), by the double-precision erf difference
-    return logical._erf_diff(None, 0, z)
+def _erf(z, lo=0.0, hi=1.0):
+    # the 1D factor of q = z^2 and b = 0 on [0, 1] is
+    # int_0^1 exp(-z^2 y^2) dy = sqrt(pi) / (2 z) erf(z); its closed form
+    # holds for any q != 0 on a finite interval, Re q <= 0 included
+    exponent, pref = logical._gaussian_1d(complex(z) ** 2, np.zeros(1), lo, hi)
+    return complex(pref[0] * np.exp(exponent[0]) * 2 * z / np.sqrt(np.pi))
 
 
 def test_complex_erf_examples():
-    assert _erf(0.0) == 0.0
+    assert _erf(1.0, 0.0, 0.0) == 0.0  # erf(0) - erf(0)
     assert _erf(1.0) == pytest.approx(_erf_series(1.0), abs=1e-13)
     assert _erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-14)
     val = _erf(1j)
@@ -89,9 +92,10 @@ def test_complex_erf_strip_accuracy():
 
 def test_complex_erf_huge_real_asymptote():
     # exp(-z^2) underflows where Re z^2 > 745, so scipy's erf is exactly +-1
-    assert _erf(40 + 0.5j) == 1.0
-    assert _erf(-40 - 0.5j) == -1.0
-    assert logical._erf_diff(None, -40 - 0.5j, 40 + 0.5j) == 2
+    # and the factors come out finite, 1 ulp or so from +-1 and 2
+    assert _erf(40 + 0.5j) == pytest.approx(1.0, abs=1e-15)
+    assert _erf(-40 - 0.5j) == pytest.approx(-1.0, abs=1e-15)
+    assert _erf(40 + 0.5j, -1.0, 1.0) == pytest.approx(2.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +188,32 @@ def test_composed_kernels_stay_analytic():
             assert got == pytest.approx(_coeff_quadrature(kern, s, t), rel=1e-9)
 
 
-@pytest.mark.parametrize("re_b", [-3.0, 0.0, 3.0])
-def test_gaussian_1d_factor_where_erf_overflows(re_b):
-    # z = sqrt(q) (x - b/2q) = 0.1 x - 5 b has Im z = -30 and |Re z| <= 15,
-    # so erf(z) grows like e^675 or more and the erf-difference form would
-    # overflow in a product of coordinates; the endpoint form keeps a
-    # finite prefactor.  Re b puts Re z right of 0, across it and left of
-    # it on the interval (the three branches of _endpoint_parts)
-    q, b, lo, hi = 0.01, complex(re_b, 6.0), -0.35, 0.35
-    exponent, pref = logical._gaussian_1d_parts(None, q, b, lo, hi, {})
-    assert abs(pref) < 1e3
+def test_gaussian_1d_factor_over_every_branch():
+    # z = sqrt(q) (y - b/2q) = 0.1 y - 5 b.  The first element's real parts
+    # straddle 0 (an erf difference); the next three lie past 1/2 on one
+    # side (erfc differences), right of 0, left of it, and left with an
+    # imaginary part.  The last three have Im z = -30 and |Re z| <= 15, so
+    # erf(z) grows like e^675 or more and the erf-difference form would
+    # overflow in a product of coordinates; the endpoint form keeps a finite
+    # prefactor, with Re z right of 0, across it and left of it
+    q = 0.01
+    b = np.array([0.005 + 0.2j, -0.4, 0.4, 0.3 + 0.2j, -3 + 6j, 6j, 3 + 6j])
+    lo = np.array([-0.35, -0.35, -0.3, -0.35, -0.35, -0.35, -0.35])
+    hi = np.array([0.35, 0.3, 0.35, 0.1, 0.35, 0.35, 0.35])
+    z = np.sqrt(q) * (np.array([lo, hi]) - b / (2 * q))
+    assert np.sign(z.real).sum(axis=0).tolist() == [0, 2, -2, -2, 2, 0, -2]
+    assert (np.max((-z * z).real, axis=0) > logical.ERF_GROWTH_MAX).tolist() == [False] * 4 + [True] * 3
+    exponent, pref = logical._gaussian_1d(q, b, lo, hi)
+    assert np.all(np.abs(pref[4:]) < 1e3)
     ctx = mp.MPContext()
-    ctx.dps = 30
-    exact = ctx.quad(lambda x: ctx.exp(-q * x * x + ctx.mpc(b) * x), [lo, hi])
-    got = pref * np.exp(exponent)
-    assert abs(got - complex(exact)) <= 1e-13 * abs(complex(exact))
+    ctx.dps = 40
+    for k in range(b.size):
+        alone = logical._gaussian_1d(q, b[k:k + 1], lo[k:k + 1], hi[k:k + 1])
+        assert alone[0].tobytes() == exponent[k:k + 1].tobytes()
+        assert alone[1].tobytes() == pref[k:k + 1].tobytes()
+        exact = ctx.quad(lambda y: ctx.exp(-q * y * y + ctx.mpc(b[k]) * y), [lo[k], hi[k]])
+        got = ctx.mpc(pref[k]) * ctx.exp(ctx.mpc(exponent[k]))
+        assert abs(got - exact) <= 1e-13 * abs(exact)
 
 
 def test_numeric_cell_integral_agrees_with_box():
@@ -306,31 +321,26 @@ def test_slab_coefficients_match_the_fan_rule():
 
 
 # ---------------------------------------------------------------------------
-# the 1D factors that window_coefficients shares between pairs
+# the tables of 1D factors of a kernel term on a box cell
 
 
 def _counted_window(monkeypatch, *args, **kwargs):
-    """window_coefficients(*args, **kwargs) with its work recorded: (coefficients,
-    erf differences computed, (q, b, lo, hi) of every 1D factor requested)."""
-    erf_diffs, keys = [], []
-    erf_diff, parts = logical._erf_diff, logical._gaussian_1d_parts
+    """window_coefficients(*args, **kwargs) on the mpmath path, with the
+    (q, b, lo, hi) of every 1D factor it computed: (coefficients, arguments)."""
+    calls = []
+    factor = logical._gaussian_1d_mp
 
-    def counted_erf_diff(*a):
-        erf_diffs.append(a)
-        return erf_diff(*a)
-
-    def recorded_parts(ctx, q, b, lo, hi, memo):
-        keys.append((complex(q), complex(b), float(lo), float(hi)))
-        return parts(ctx, q, b, lo, hi, memo)
+    def recorded(ctx, q, b, lo, hi):
+        calls.append((complex(q), complex(b), float(lo), float(hi)))
+        return factor(ctx, q, b, lo, hi)
 
     with monkeypatch.context() as patch:
-        patch.setattr(logical, "_erf_diff", counted_erf_diff)
-        patch.setattr(logical, "_gaussian_1d_parts", recorded_parts)
+        patch.setattr(logical, "_gaussian_1d_mp", recorded)
         coeffs, _ = window_coefficients(*args, **kwargs)
-    return coeffs, len(erf_diffs), keys
+    return coeffs, calls
 
 
-def _memo_free_coefficients(cf, trunc, ctx):
+def _per_pair_box_coefficients(cf, trunc, ctx):
     """The same sums as window_coefficients, from box_cell_integral called per pair."""
     scalar = complex if ctx is None else ctx.mpc
     window = trunc.window(2)
@@ -345,12 +355,19 @@ def _memo_free_coefficients(cf, trunc, ctx):
 
 
 def test_window_computes_each_distinct_1d_factor_once(monkeypatch):
+    # each of the 25^2 pairs asks for one factor per coordinate k, that of
+    # (q, b, lo, hi) = (-Q_v[k, k], b_v[k], the cell's interval k); pairs with
+    # one lbar(s) - lbar(t) share the Omega term of b_v, and so their factors
     delta = 10 ** (-26 / 20)
-    _, erf_diffs, keys = _counted_window(monkeypatch, SQ, CELL, envelope_charfun(delta),
-                                         TruncationSpec(2), dps=suggest_dps(delta))
-    assert len(keys) == 2 * 25 ** 2
-    assert erf_diffs == len(set(keys))
-    assert erf_diffs < len(keys) / 5
+    cf = envelope_charfun(delta)
+    _, calls = _counted_window(monkeypatch, SQ, CELL, cf, TruncationSpec(2), dps=suggest_dps(delta))
+    work = logical._TermWork(cf.terms[0][1], SQ, CELL)
+    window = TruncationSpec(2).window(2)
+    requests = [(complex(-work.box_diag[k]), complex(b), *CELL.intervals[k])
+                for s in window for t in window for k, b in enumerate(work.form(s, t)[0])]
+    assert len(requests) == 2 * 25 ** 2
+    assert len(calls) == len(set(calls)) and set(calls) == set(requests)
+    assert len(calls) < len(requests) / 5
 
 
 def test_window_coefficients_are_bit_identical_to_per_pair_integrals():
@@ -359,13 +376,13 @@ def test_window_coefficients_are_bit_identical_to_per_pair_integrals():
     got, _ = window_coefficients(SQ, CELL, envelope_charfun(delta), TruncationSpec(1), dps=dps)
     ctx = mp.MPContext()
     ctx.dps = dps
-    expect = _memo_free_coefficients(envelope_charfun(delta), TruncationSpec(1), ctx)
+    expect = _per_pair_box_coefficients(envelope_charfun(delta), TruncationSpec(1), ctx)
     assert list(got) == list(expect)
     assert all(got[k].real == expect[k].real and got[k].imag == expect[k].imag for k in got)
     # float path, several kernel terms, a larger window
     cf = compose(loss_charfun(0.01), dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=8))
     got, _ = window_coefficients(SQ, CELL, cf, TruncationSpec(2))
-    expect = _memo_free_coefficients(cf, TruncationSpec(2), None)
+    expect = _per_pair_box_coefficients(cf, TruncationSpec(2), None)
     assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
 
 
@@ -443,9 +460,9 @@ def _two_terms():
 
 def test_window_memo_does_not_outlive_the_call(monkeypatch):
     cf = envelope_charfun(10 ** (-12 / 20))
-    first, erf_first, keys = _counted_window(monkeypatch, SQ, CELL, cf, TruncationSpec(1), dps=30)
-    second, erf_second, _ = _counted_window(monkeypatch, SQ, CELL, cf, TruncationSpec(1), dps=30)
-    assert erf_first == erf_second == len(set(keys)) > 0
+    first, calls = _counted_window(monkeypatch, SQ, CELL, cf, TruncationSpec(1), dps=30)
+    second, again = _counted_window(monkeypatch, SQ, CELL, cf, TruncationSpec(1), dps=30)
+    assert calls == again and len(calls) == len(set(calls)) > 0
     assert first == second
     assert logical._TERM_WORK.get(None) is None
     # the quadrature path builds each rule once per call and kernel term
@@ -695,6 +712,21 @@ def test_float_and_fallback_precision_agree(noise, delta_db):
     assert abs(infid[None] - infid[30]) <= 1e-12 * infid[30]
 
 
+@pytest.mark.parametrize("noise, delta_db, param", [
+    ("loss", 12, 0.01), ("loss", 14, 0.01), ("envelope", 12, 0.0), ("displacement", 12, 0.001)])
+def test_box_channel_matches_its_dps_40_rebuild(noise, delta_db, param):
+    # these rows' 1D factors include small differences of erf values near 1,
+    # which are erfc differences where both real parts pass 1/2; with the
+    # switch at 4 the double-precision infidelity was up to 1.2e-9 (loss,
+    # 14 dB) and 5.8e-11 (displacement) relative off
+    cf = cli._build_charfun(noise, 10 ** (-delta_db / 20), param, 16)
+    infid = {}
+    for dps in (None, 40):
+        _, och = lowdin_orthonormalize(logical_channel(SQ, CELL, cf, TruncationSpec(1), dps=dps))
+        infid[dps] = average_gate_infidelity(och)
+    assert abs(infid[None] - infid[40]) <= 1e-13 * infid[40]
+
+
 def _record_box_calls(monkeypatch) -> list:
     calls = []
     box = logical.box_cell_integral
@@ -797,17 +829,18 @@ def test_voronoi_dephasing_row_through_the_endpoint_form_matches_box(monkeypatch
     # some slab nodes, which take the Faddeeva endpoint form
     metas = _record_channel_meta(monkeypatch)
     endpoint_nodes = []
-    parts = logical._endpoint_parts
+    factor = logical._gaussian_1d
 
-    def counted(*args):
-        endpoint_nodes.append(args)
-        return parts(*args)
+    def counted(q, b, lo, hi):
+        z = np.sqrt(q) * (np.array([lo, hi]) - b / (2 * q))
+        endpoint_nodes.extend(np.flatnonzero(np.max((-z * z).real, axis=0) > logical.ERF_GROWTH_MAX))
+        return factor(q, b, lo, hi)
 
     cf = cli._build_charfun("dephasing", 10 ** (-22 / 20), 1e-3, 16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with monkeypatch.context() as patch:
-            patch.setattr(logical, "_endpoint_parts", counted)
+            patch.setattr(logical, "_gaussian_1d", counted)
             quad = cli._analysis(cf, SQ, VoronoiCell(SQ), 1)["infidelity"]
         box = cli._analysis(cf, SQ, CELL, 1)["infidelity"]
     assert endpoint_nodes
