@@ -188,6 +188,23 @@ def test_composed_kernels_stay_analytic():
             assert got == pytest.approx(_coeff_quadrature(kern, s, t), rel=1e-9)
 
 
+@pytest.mark.parametrize("re_b", [-3.0, 0.0, 3.0])
+def test_gaussian_1d_factor_where_erf_overflows(re_b):
+    # z = sqrt(q) (y - b/2q) = 0.1 y - 5 b has Im z = -30 and |Re z| <= 15,
+    # so erf(z) grows like e^675 or more and the erf-difference form would
+    # overflow in a product of coordinates; the endpoint form keeps a
+    # finite prefactor.  Re b puts Re z right of 0, across it and left of
+    # it on the interval (the three sign cases of the endpoint form)
+    q, b, lo, hi = 0.01, complex(re_b, 6.0), -0.35, 0.35
+    exponent, pref = logical._gaussian_1d(q, np.array([b]), np.array([lo]), np.array([hi]))
+    assert abs(pref[0]) < 1e3
+    ctx = mp.MPContext()
+    ctx.dps = 30
+    exact = ctx.quad(lambda y: ctx.exp(-q * y * y + ctx.mpc(b) * y), [lo, hi])
+    got = pref[0] * np.exp(exponent[0])
+    assert abs(got - complex(exact)) <= 1e-13 * abs(complex(exact))
+
+
 def test_gaussian_1d_factor_over_every_branch():
     # z = sqrt(q) (y - b/2q) = 0.1 y - 5 b.  The first element's real parts
     # straddle 0 (an erf difference); the next three lie past 1/2 on one
