@@ -213,6 +213,8 @@ def cmd_sweep(cfg: dict, out):
         raise ValueError("delta_db and noise_param grids must be nonempty")
 
     code, cell = (None, None) if cfg["code"] is None else code_from_config(cfg["code"])
+    if code is not None and code.n_modes != 1:
+        raise ValueError(f"sweep builds single-mode noise kernels, and its code has {code.n_modes} modes")
 
     # baselines first, so that a family without one fails before the sweep runs
     baselines = [baseline_point(noise, p) for p in params] if cfg["baseline"] and noise != "envelope" else []

@@ -259,6 +259,7 @@ class VoronoiCell(PrimitiveCell):
         self._sigma_min = np.linalg.svd(self.basis, compute_uv=False).min()
         self._relevant = None
         self._vertices = None
+        self._slabs = None
 
     def remainder(self, v):
         v = np.asarray(v, dtype=float)
@@ -318,6 +319,34 @@ class VoronoiCell(PrimitiveCell):
             self._vertices = np.linalg.solve(facets, 0.5 * np.sum(facets ** 2, axis=2)[:, :, None])[:, :, 0]
             self._vertices.flags.writeable = False
         return self._vertices
+
+    def slabs_2d(self) -> np.ndarray:
+        """The vertical slabs of a 2D cell, one column each: rows (left,
+        right, low slope, low intercept, high slope, high intercept), so
+        that slab k runs over left <= x <= right between the facets
+        y = slope x + intercept below and above it.  The cuts are the vertex
+        x-coordinates and x = 0, the lattice point; cuts within 1e-12 of the
+        cell width merge.  Built once per cell, read-only."""
+        if self._slabs is None:
+            xs = self.vertices_2d()[:, 0]
+            left, right = xs.min(), xs.max()
+            cuts = [left]
+            for c in np.sort(np.append(xs, 0.0)):
+                if c - cuts[-1] > 1e-12 * (right - left):
+                    cuts.append(c)
+            cuts[-1] = right
+            a, b = np.array(cuts[:-1]), np.array(cuts[1:])
+            # the facet r . v = |r|^2 / 2 is y = slope x + icpt; at a slab's
+            # midpoint the lowest facet above it and the highest below it bound it
+            rels = self.relevant_vectors()
+            rels = rels[rels[:, 1] != 0]
+            slope, icpt = -rels[:, 0] / rels[:, 1], 0.5 * np.sum(rels ** 2, axis=1) / rels[:, 1]
+            at_mid = np.outer((a + b) / 2, slope) + icpt
+            hi = np.where(rels[:, 1] > 0, at_mid, np.inf).argmin(axis=1)
+            lo = np.where(rels[:, 1] < 0, at_mid, -np.inf).argmax(axis=1)
+            self._slabs = np.array([a, b, slope[lo], icpt[lo], slope[hi], icpt[hi]])
+            self._slabs.flags.writeable = False
+        return self._slabs
 
 
 @dataclass

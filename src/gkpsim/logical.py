@@ -13,11 +13,15 @@ to the next, and both are affine in each label, so window_coefficients
 computes the rest of each kernel term once (_TermWork): the restricted form
 and its checks, the slab rules, the pieces of b_v and const that depend on
 one label only, and a box cell's 1D factors of every label pair, one array
-call per coordinate.  A pair adds up the rest in a few scalar operations.
+call per coordinate, from which a box pair adds up its integral in a few
+scalar operations.  A slab rule's y factors depend on a pair only through
+b_1, so each distinct b_1 gets one row of factors over the nodes, and the
+integrands of every pair (s, t) with one label s are built as one batch of
+elementwise operations; a pair then sums its own row over the nodes.
 All of it is dropped before the next term and when the call returns; each
 (pair, term) still makes one box_cell_integral or numeric_cell_integral
-call, and such a call on its own does the work of just its two labels, with
-the same bits.
+call, and such a call on its own does the work of just its two labels (of
+just its pair, for a slab y factor), with the same bits.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
 
@@ -172,10 +176,14 @@ class _TermWork:
     """What the cell integrals of one kernel term on one code and cell share
     over every (s, t) pair: the restricted quadratic form, its checked box
     diagonal, each slab rule with the pair-independent parts of its
-    exponent, the per-label pieces of the exponent and the box cell's tables
-    of 1D factors over the primed labels.  The pieces of a label are computed
-    the first time a pair needs them, or for a whole window at once by prime;
-    everything else the first time a pair needs it.
+    exponent, the per-label pieces of the exponent, the box cell's tables
+    of 1D factors over the primed labels, and per slab rule a table of y
+    factors, one row of nodes per distinct b_1, with the integrands of the
+    latest row of pairs.  The pieces of a label are computed the first time
+    a pair needs them, or for a whole window at once by prime; everything
+    else the first time a pair needs it.  A slab row runs over the window
+    labels that window_coefficients gives; a work without them (a lone
+    call's) builds the one pair asked for.
 
     FULL: with lbar = lbar(s) and J = (1, 1)^T, the exponent of
     c_{s,t}(v, v) = c(v + lbar(s), v + lbar(t)) e^{i pi v^T Om (lbar(s) - lbar(t))}
@@ -191,9 +199,12 @@ class _TermWork:
 
     def __init__(self, kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell):
         self.kernel, self.code, self.cell = kernel, code, cell
+        self.window = ()  # the labels t of a slab row of pairs (s, t), set by window_coefficients
         self.pieces = {}  # tuple(s) -> the pieces of lbar(s)
         self.box = None  # (ctx, label -> position, tables per coordinate, mpmath factors)
         self.rules = {}  # order -> the slab rules of orders n and n + n // 2
+        self.y_factors = {}  # order -> {exact bits of b_1: (exponent, prefactor) at the nodes}
+        self.row = None  # ((order, s), label t -> position, the integrand of each pair (s, t))
 
     @functools.cached_property
     def restricted(self):
@@ -231,18 +242,14 @@ class _TermWork:
 
     def form(self, s, t):
         """(b_v, const) of the exponent v^T Q_v v + b_v^T v + const of
-        c_{s,t}(v, v), or None where it vanishes; b_v is a list."""
+        c_{s,t}(v, v) on a 2D cell, or None where it vanishes; b_v is a
+        list.  The one-pair case of _slab_forms."""
         s, t = tuple(s), tuple(t)
-        pieces = self.pieces
-        if s not in pieces or t not in pieces:
-            self.prime((s, t))
-        _, _, jl, om = self.restricted
-        if om is None:
-            return pieces[s] if s == t else None
-        a, om_s = pieces[s][0], pieces[s][2]
-        b, om_t = pieces[t][1], pieces[t][2]
-        bv = [x + y + c + _IPI * (p - r) for x, y, c, p, r in zip(a, b, jl, om_s, om_t)]
-        return bv, self._const(s, t)
+        if self.restricted[3] is None and s != t:
+            return None
+        self.prime((s, t))
+        b0, b1, const = self._slab_forms(s, (t,))
+        return [b0.item(), b1.item()], const.item()
 
     def _const(self, s, t):
         """const of a FULL kernel's pair, from the pieces of its primed labels."""
@@ -325,6 +332,59 @@ class _TermWork:
             self.rules[order] = x, y_lo, y_hi, wts, qv[0, 0] * x * x, (qv[0, 1] + qv[1, 0]) * x, q
         return self.rules[order]
 
+    def slab_row(self, s, t, order: int):
+        """exp(v^T Q_v v + b_v^T v + const) of c_{s,t}(v, v) integrated over y
+        at the x nodes of rule(order), or None where it vanishes.
+
+        The integrands of pair (s, t') for every window label t' (only t
+        itself outside the window, or for DIAG_DELTA) are built as one batch
+        and held until another s or order is asked for."""
+        s, t = tuple(s), tuple(t)
+        full = self.restricted[3] is not None
+        if not (full or s == t):
+            return None
+        row = self.row
+        if row is None or row[0] != (order, s) or t not in row[1]:
+            ts = self.window if full and s in self.window and t in self.window else (t,)
+            row = self.row = (order, s), {u: i for i, u in enumerate(ts)}, self._slab_batch(s, ts, order)
+        return row[2][row[1][t]]
+
+    def _slab_batch(self, s, ts, order: int):
+        """The slab_row of every pair (s, t) for t in ts, as rows of one array:
+        at each x node, the 1D factor in y of q = -Q_11 and
+        beta(x) = (Q_01 + Q_10) x + b_1 from y_lo to y_hi, whose exponent joins
+        Q_00 x^2 + b_0 x + const before the one exp.  A factor depends on the
+        pair only through b_1, so each distinct b_1 (by its exact bits) is
+        computed once per order, in blocks of 16."""
+        self.prime((s, *ts))
+        x, y_lo, y_hi, _, xx, xy, q = self.rule(order)
+        b0, b1, const = self._slab_forms(s, ts)
+        table = self.y_factors.setdefault(order, {})
+        keys = b1.view("V16").tolist()
+        new = {key: i for i, key in enumerate(keys) if key not in table}
+        new_keys, at = list(new), list(new.values())
+        for k in range(0, len(at), 16):
+            ex, pf = _gaussian_1d(q, xy + b1[at[k:k + 16], None], y_lo, y_hi)
+            table.update(zip(new_keys[k:k + 16], zip(ex, pf)))
+        ex, pf = (np.array([table[key][i] for key in keys]) for i in (0, 1))
+        return pf * np.exp(xx + b0[:, None] * x + const[:, None] + ex)
+
+    def _slab_forms(self, s, ts):
+        """(b_0, b_1, const) of the pairs (s, t), t in ts, of a 2D cell, as
+        arrays over ts: the sums of the class docstring, added up
+        elementwise from the primed labels' pieces."""
+        _, _, jl, om = self.restricted
+        if om is None:
+            return tuple(np.array([v]) for v in (*self.pieces[s][0], self.pieces[s][1]))
+        a, _, om_s, alpha, _, u, _ = self.pieces[s]
+        rows = [self.pieces[t] for t in ts]
+        b, om_t, beta, lt = (np.array([p[i] for p in rows]) for i in (1, 2, 4, 6))
+        b0, b1 = (a[k] + b[:, k] + jl[k] + _IPI * (om_s[k] - om_t[:, k]) for k in (0, 1))
+        const = alpha + beta
+        for x, y in zip(u, lt.T):
+            const = const + x * y
+        return b0, b1, const
+
 
 # The _TermWork of the kernel term that window_coefficients is integrating;
 # unset outside that call, so nothing outlives it.
@@ -381,75 +441,49 @@ def _gauss_legendre(order: int):
 def _cell_quadrature_points(cell: PrimitiveCell, order: int):
     """(x, y_lo, y_hi, weights) of the slab rule of a 2D Voronoi cell.
 
-    The polygon is cut into vertical slabs at its vertex x-coordinates and at
-    x = 0, the lattice point, where the coefficients' Gaussians peak; cuts
-    within 1e-12 of the cell width merge.  Inside a slab y runs between two
-    facets, y_lo(x) and y_hi(x), each linear in x.  Each slab gets order
-    Gauss-Legendre nodes x with the slab's Jacobian in their weights, so
-    sum w (y_hi - y_lo) is the cell's area.
+    The polygon's vertical slabs (VoronoiCell.slabs_2d) are cut at x = 0
+    too, the lattice point, where the coefficients' Gaussians peak.  Inside
+    a slab y runs between two facets, y_lo(x) and y_hi(x), each linear in x.
+    Each slab gets order Gauss-Legendre nodes x with the slab's Jacobian in
+    their weights, so sum w (y_hi - y_lo) is the cell's area.
     """
     if not (isinstance(cell, VoronoiCell) and cell.dim == 2):
         raise ValueError(f"no quadrature rule for cell type {type(cell).__name__} in dim {cell.dim}")
-    xs = cell.vertices_2d()[:, 0]
-    left, right = xs.min(), xs.max()
-    cuts = [left]
-    for c in np.sort(np.append(xs, 0.0)):
-        if c - cuts[-1] > 1e-12 * (right - left):
-            cuts.append(c)
-    cuts[-1] = right
-    a, b = np.array(cuts[:-1]), np.array(cuts[1:])
-    # the facet r . v = |r|^2 / 2 is y = slope x + icpt; at a slab's midpoint
-    # the lowest facet above it and the highest below it bound the slab
-    rels = cell.relevant_vectors()
-    rels = rels[rels[:, 1] != 0]
-    slope, icpt = -rels[:, 0] / rels[:, 1], 0.5 * np.sum(rels ** 2, axis=1) / rels[:, 1]
-    at_mid = np.outer((a + b) / 2, slope) + icpt
-    hi = np.where(rels[:, 1] > 0, at_mid, np.inf).argmin(axis=1)
-    lo = np.where(rels[:, 1] < 0, at_mid, -np.inf).argmax(axis=1)
+    a, b, lo_slope, lo_icpt, hi_slope, hi_icpt = cell.slabs_2d()[:, :, None]
     t, w = _gauss_legendre(order)
-    half = ((b - a) / 2)[:, None]
-    x = (a + b)[:, None] / 2 + half * t
-    y_lo = slope[lo][:, None] * x + icpt[lo][:, None]
-    y_hi = slope[hi][:, None] * x + icpt[hi][:, None]
+    half = (b - a) / 2
+    x = (a + b) / 2 + half * t
+    y_lo = lo_slope * x + lo_icpt
+    y_hi = hi_slope * x + hi_icpt
     return x.ravel(), y_lo.ravel(), y_hi.ravel(), (half * w).ravel()
-
-
-def _quadrature(amp, form, rule):
-    """amp * exp(v^T Q v + b^T v + const) over the cell by the slab rules of
-    _TermWork.rule, as (value at order n, value at order n + n // 2): at each
-    x node the y integral is the 1D factor of q = -Q_11 and
-    beta(x) = (Q_01 + Q_10) x + b_1 from y_lo to y_hi, whose exponent joins
-    Q_00 x^2 + b_0 x + const before the one exp.
-    """
-    (b0, b1), const = form
-    x, y_lo, y_hi, wts, xx, xy, q = rule
-    exponent, pref = _gaussian_1d(q, xy + b1, y_lo, y_hi)
-    v1, v2 = amp * (wts @ (pref * np.exp(xx + b0 * x + const + exponent)))
-    return complex(v1), complex(v2)
 
 
 def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell, s, t,
                           order: int = 40):
     """Integral of c_{s,t}(v, v) over a 2D Voronoi cell by the slab rule
-    (_quadrature); returns (value, error_estimate).
+    (_TermWork.rule); returns (value, error_estimate).
 
     The y integral is closed form, so the rule's only error is the
     Gauss-Legendre rule in x.  The value is that of order + order // 2, and
     the estimate is its distance from the value of order, so it bounds the
     error of the lower order and overstates that of the value returned; if
     it exceeds 1e-9 times max(1, |value|) a warning is issued (never silently
-    swallowed).  POINT kernels integrate exactly by cell membership.  Inside
-    window_coefficients the restricted form, the label pieces and both rules
-    come from the term's shared work; on its own the call builds them, so it
-    stays the per-pair oracle.
+    swallowed).  POINT kernels integrate exactly by cell membership.  The
+    integrand at the rule's nodes comes from _TermWork.slab_row: inside
+    window_coefficients from the row of pairs that the term's shared work
+    built for label s, with y factors from its table; on its own the call
+    builds the form, rules and y factor of just its pair, with the same
+    bits, so it stays the per-pair oracle.  Either way the call does its own
+    sum over the nodes.
     """
     if kernel.kind == POINT:
         return complex(_point_value(kernel, code, cell, s, t)), 0.0
     work = _term_work(kernel, code, cell)
-    form = work.form(s, t)
-    if form is None:
+    row = work.slab_row(s, t, order)
+    if row is None:
         return 0j, 0.0
-    v1, v2 = _quadrature(kernel.amp, form, work.rule(order))
+    v1, v2 = kernel.amp * (work.rule(order)[3] @ row)
+    v1, v2 = complex(v1), complex(v2)
     err = abs(v1 - v2)
     if err > 1e-9 * max(1.0, abs(v2)):
         warnings.warn(f"cell quadrature not converged: estimate {err:.2e} at order {order}")
@@ -667,6 +701,7 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
             work = _TermWork(kern, code, cell)
             if kern.kind != POINT:
                 work.prime(window)
+                work.window = window
             _TERM_WORK.set(work)
             for s, t in coeffs:
                 if use_box:

@@ -248,6 +248,17 @@ def test_sweep_output_is_byte_for_byte_deterministic(tmp_path, cfg):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_two_mode_sweep_raises_before_building_a_kernel(tmp_path, monkeypatch):
+    # it once died inside the decay precheck with a bare numpy shape error
+    def building(*args):
+        raise AssertionError("a noise kernel was built")
+
+    monkeypatch.setattr(cli, "_build_charfun", building)
+    cfg = {"code": {"name": "square", "params": {"n": 2}}, "noise": "envelope"}
+    with pytest.raises(ValueError, match="sweep builds single-mode noise kernels, and its code has 2 modes"):
+        _run(tmp_path, "sweep", cfg)
+
+
 def test_integral_float_count_is_accepted(tmp_path):
     # JSON may spell a count 1.0; it is the same S as 1
     cfg = {"noise": "loss", "delta_db": [8], "noise_param": [0.01], "smax": 1.0}

@@ -291,14 +291,15 @@ def test_voronoi_polygon_and_rule_on_random_codes(theta, squeeze, shear, d, coef
         edges = np.column_stack([np.concatenate([x, x]), np.concatenate([y_lo, y_hi])])
         assert all(cell.contains(p, tol=1e-9) for p in edges)
     # a decaying complex Gaussian, integrated in closed form along y, against
-    # the fan rule at a high order
+    # the fan rule at a high order; at label 0 a DIAG_DELTA kernel's exponent
+    # is v^T Q v + L^T v
     c0, b0, b1, q00, q01, q11 = coeffs
     m = np.array([[q00, q01], [q01, q11]])
-    kernel = GaussianKernel(1, np.exp(c0), -(m @ m + 0.5 * np.eye(2)) + 0.5j * m, kind=DIAG_DELTA)
-    form = ([b0 + 1j * q11, b1 - 1j * q00], 0.0)
-    _, got = logical._quadrature(kernel.amp, form, logical._TermWork(kernel, code, cell).rule(60))
+    kernel = GaussianKernel(1, np.exp(c0), -(m @ m + 0.5 * np.eye(2)) + 0.5j * m,
+                            [b0 + 1j * q11, b1 - 1j * q00], kind=DIAG_DELTA)
+    got, _ = numeric_cell_integral(kernel, code, cell, (0, 0), (0, 0), order=60)
     pts, wts = _fan_rule(cell, 80)
-    quad = np.einsum("ki,ij,kj->k", pts, kernel.q_matrix, pts) + pts @ form[0]
+    quad = np.einsum("ki,ij,kj->k", pts, kernel.q_matrix, pts) + pts @ kernel.linear
     expect = kernel.amp * np.exp(quad) @ wts
     assert abs(got - expect) <= 1e-12 * abs(expect)
 
@@ -482,20 +483,28 @@ def test_window_memo_does_not_outlive_the_call(monkeypatch):
     assert calls == again and len(calls) == len(set(calls)) > 0
     assert first == second
     assert logical._TERM_WORK.get(None) is None
-    # the quadrature path builds each rule once per call and kernel term
-    rules = []
-    build = logical._cell_quadrature_points
+    # the quadrature path builds the nodes of each rule once per call and
+    # kernel term, from slab geometry that a fresh cell builds once
+    rules, geometry = [], []
+    build, slabs = logical._cell_quadrature_points, VoronoiCell.slabs_2d
 
     def counted_rule(cell, order):
         rules.append(order)
         return build(cell, order)
 
+    def recorded_slabs(cell):
+        geometry.append(slabs(cell))
+        return geometry[-1]
+
     two_terms = _two_terms()
+    cell = VoronoiCell(HEX)
     with monkeypatch.context() as patch:
         patch.setattr(logical, "_cell_quadrature_points", counted_rule)
-        quad = [window_coefficients(HEX, HEX_CELL, two_terms, TruncationSpec(1), quad_order=20)
+        patch.setattr(VoronoiCell, "slabs_2d", recorded_slabs)
+        quad = [window_coefficients(HEX, cell, two_terms, TruncationSpec(1), quad_order=20)
                 for _ in range(2)]
     assert rules == [20, 30] * 4
+    assert len(geometry) == 8 and all(g is geometry[0] for g in geometry)
     assert quad[0] == quad[1]
     assert logical._TERM_WORK.get(None) is None
 
@@ -561,6 +570,42 @@ def test_window_quadrature_is_bit_identical_to_per_pair_integrals(cf, s_max, ord
         expect, quad_err = _per_pair_quadrature(cf, TruncationSpec(s_max), order)
     assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
     assert trust == {"underflowed": 0, "quad_err": quad_err} and quad_err > 0
+
+
+def _counted_y_factors(monkeypatch, call):
+    """call() and the number of elements of every _gaussian_1d call it made."""
+    elements = []
+    factor = logical._gaussian_1d
+
+    def counted(q, b, lo, hi):
+        elements.append(np.broadcast(b, lo, hi).size)
+        return factor(q, b, lo, hi)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(logical, "_gaussian_1d", counted)
+        return call(), elements
+
+
+@pytest.mark.parametrize("cf", [
+    envelope_charfun(10 ** (-10 / 20)), compose(loss_charfun(0.01), envelope_charfun(10 ** (-12 / 20))),
+], ids=["envelope-10dB", "loss-12dB"])
+def test_slab_window_computes_each_distinct_y_factor_once(monkeypatch, cf):
+    # a pair's y factors depend on it only through b_1 = (b_v)_1, which many
+    # pairs share exactly; the window computes one row of nodes per distinct
+    # b_1, by its bits (so 0.0 and -0.0 stay apart), and a lone call just its own
+    kernel = cf.terms[0][1]
+    window = TruncationSpec(2).window(2)
+    work = logical._TermWork(kernel, HEX, HEX_CELL)
+    nodes = work.rule(40)[0].size
+    distinct = {np.complex128(work.form(s, t)[0][1]).tobytes() for s in window for t in window}
+    _, elements = _counted_y_factors(
+        monkeypatch, lambda: window_coefficients(HEX, HEX_CELL, cf, TruncationSpec(2), quad_order=40))
+    assert sum(elements) == len(distinct) * nodes
+    assert 3 * sum(elements) < len(window) ** 2 * nodes
+    assert max(elements) <= 16 * nodes  # in blocks of at most 16 rows
+    _, elements = _counted_y_factors(
+        monkeypatch, lambda: numeric_cell_integral(kernel, HEX, HEX_CELL, (1, -2), (0, 1), order=40))
+    assert elements == [nodes]
 
 
 # restricted to u = v, the first form couples v_1 and v_2 and the second grows
@@ -849,8 +894,10 @@ def test_voronoi_dephasing_row_through_the_endpoint_form_matches_box(monkeypatch
     factor = logical._gaussian_1d
 
     def counted(q, b, lo, hi):
-        z = np.sqrt(q) * (np.array([lo, hi]) - b / (2 * q))
-        endpoint_nodes.extend(np.flatnonzero(np.max((-z * z).real, axis=0) > logical.ERF_GROWTH_MAX))
+        # b holds a block of y factors, one row each, against the nodes' lo and hi
+        z1, z2 = (np.sqrt(q) * (y - b / (2 * q)) for y in (lo, hi))
+        endpoint_nodes.extend(np.flatnonzero(np.maximum((-z1 * z1).real, (-z2 * z2).real)
+                                             > logical.ERF_GROWTH_MAX))
         return factor(q, b, lo, hi)
 
     cf = cli._build_charfun("dephasing", 10 ** (-22 / 20), 1e-3, 16)
