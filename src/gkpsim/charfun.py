@@ -86,11 +86,10 @@ class GaussianKernel:
 
 @dataclass
 class ChannelCharFn:
-    """Weighted sum of Gaussian kernels, optionally from a quadrature family."""
+    """Weighted sum of Gaussian kernels."""
 
     n_modes: int
     terms: list  # of (weight: complex, GaussianKernel)
-    quadrature: dict = None  # {"nodes": [...], "weights": [...]} when applicable
 
     def evaluate(self, u, v) -> complex:
         return sum(w * k.evaluate(u, v) for w, k in self.terms)
@@ -223,7 +222,7 @@ def dephased_envelope_charfun(sigma: float, delta: float, nodes: int = 64) -> Ch
     for x, w, phi in zip(xs, ws, phis):
         kern = kraus_pair_kernel(_envelope_operator_kernel(delta ** 2 - 1j * phi))
         terms.append((w / np.sqrt(np.pi) + 0j, kern))
-    return ChannelCharFn(1, terms, quadrature={"nodes": phis, "weights": ws / np.sqrt(np.pi)})
+    return ChannelCharFn(1, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,8 @@ def repetition_code(n: int = 3, alpha: float = 3 ** -0.25) -> GkpCode:
 # ---------------------------------------------------------------------------
 # primitive cells
 
+MAX_WINDOW = 2 ** 20  # the most coefficient offsets that one VoronoiCell search enumerates
+
 
 class PrimitiveCell:
     """Region P with a remainder map v = shift + {v}_P, shift in the dual lattice."""
@@ -233,72 +235,67 @@ def voronoi_box(code: GkpCode) -> BoxCell:
 class VoronoiCell(PrimitiveCell):
     """Voronoi cell of the dual lattice, with lexicographic tie-breaking.
 
-    Nearest-point searches enumerate coefficient offsets in a window of
-    +-radius around the rounded solution, and prove their answer or raise.
-    With sigma_min the smallest singular value of the dual basis, a lattice
-    point outside the window lies at least sigma_min * (radius + 1/2) from
-    the point being reduced, and a coset point outside it at least
-    sigma_min * (2 radius + 1) from the origin; remainder and
-    relevant_vectors raise a RuntimeError when their minimum (tie tolerance
-    included) reaches that bound.  Squared distances within 1e-12 of the
-    minimum count as ties.
+    Nearest-point searches prove their answer: with sigma_min the smallest
+    singular value of the dual basis, a lattice point whose coefficients lie
+    outside +-r of the rounded solution is at least sigma_min * (r + 1/2)
+    from the point being reduced, so each search sizes its window from the
+    distance it has found.  Squared distances within 1e-12 of the minimum
+    count as ties.
     """
 
-    def __init__(self, code: GkpCode, radius: int = 3):
-        self.code = code
+    def __init__(self, code: GkpCode):
         self.basis = code.dual_basis()
         self.dim = self.basis.shape[0]
-        self.radius = radius
-        offs = np.array(
-            list(itertools.product(range(-radius, radius + 1), repeat=self.dim)),
-            dtype=np.int64,
-        )
-        # lexicographically sorted so ties resolve to the smallest coefficient vector
-        self._offsets = offs[np.lexsort(offs.T[::-1])]
-        self._offset_points = self._offsets @ self.basis.T
         self._sigma_min = np.linalg.svd(self.basis, compute_uv=False).min()
-        self._relevant = None
-        self._vertices = None
-        self._slabs = None
+        self._windows = {}  # r -> lattice points of the offsets in +-r, lexicographic
+        self._relevant = self._vertices = self._slabs = None
+
+    def _nearest(self, v, tol: float) -> np.ndarray:
+        """Every dual vector whose squared distance to v is within tol of the
+        smallest, one row each, in lexicographic order of coefficient offset
+        from the rounded solution.  The +-1 window gives a first candidate; a
+        wider window is searched only when its distance does not prove the answer."""
+        center = self.basis @ np.round(np.linalg.solve(self.basis, v))
+        r = 1
+        while True:
+            if r not in self._windows:
+                size = (2 * r + 1) ** self.dim
+                if size > MAX_WINDOW:
+                    raise ValueError(f"a proven nearest-point search needs the window of +-{r} in {self.dim} "
+                                     f"dimensions, {size} offsets, above MAX_WINDOW = {MAX_WINDOW}")
+                offs = np.indices((2 * r + 1,) * self.dim).reshape(self.dim, -1).T - r
+                self._windows[r] = offs @ self.basis.T
+            cands = center + self._windows[r]
+            d2 = np.sum((v - cands) ** 2, axis=1)
+            # the smallest radius with sigma_min (radius + 1/2) > sqrt(best + tol)
+            proven = int(np.sqrt(d2.min() + tol) / self._sigma_min + 0.5)
+            if proven <= r:
+                return cands[d2 <= d2.min() + tol]
+            r = proven
 
     def remainder(self, v):
         v = np.asarray(v, dtype=float)
-        s0 = np.round(np.linalg.solve(self.basis, v)).astype(np.int64)
-        cands = (self.basis @ s0) + self._offset_points
-        d2 = np.sum((v[np.newaxis, :] - cands) ** 2, axis=1)
-        best = np.min(d2)
-        if best + 1e-12 >= (self._sigma_min * (self.radius + 0.5)) ** 2:
-            raise RuntimeError(f"nearest dual vector not proven within radius {self.radius}; enlarge radius")
-        idx = np.nonzero(d2 <= best + 1e-12)[0][0]
-        shift = cands[idx]
+        shift = self._nearest(v, 1e-12)[0]
         return v - shift, shift
 
     def relevant_vectors(self) -> np.ndarray:
         """Voronoi-relevant (facet-defining) dual vectors, one row each.
 
         Uses the coset criterion: r is relevant iff +-r are the unique
-        shortest vectors of the coset r + 2*Lambda.
+        shortest vectors of the coset r + 2*Lambda.  The shortest vectors of
+        the coset Bc + 2*Lambda are Bc + 2x for the x nearest to -Bc/2.
         """
-        if self._relevant is not None:
-            return self._relevant
-        pts = self._offset_points
-        rel = []
-        for c in itertools.product((0, 1), repeat=self.dim):
-            if not any(c):
-                continue
-            coset = 2.0 * pts + self.basis @ np.array(c, dtype=float)
-            d2 = np.sum(coset ** 2, axis=1)
-            order = np.argsort(d2)
-            if d2[order[0]] + 1e-9 >= (self._sigma_min * (2 * self.radius + 1)) ** 2:
-                raise RuntimeError(f"coset minimum not proven within radius {self.radius}; enlarge radius")
-            if d2[order[1]] > d2[order[0]] + 1e-9:
-                raise RuntimeError("coset minimum is not a +- pair; enlarge radius")
-            if len(order) > 2 and d2[order[2]] <= d2[order[0]] + 1e-9:
-                continue  # more than two minimizers: not relevant
-            r = coset[order[0]]
-            rel.append(r)
-            rel.append(-r)
-        self._relevant = np.array(rel)
+        if self._relevant is None:
+            rel = []
+            for c in list(itertools.product((0, 1), repeat=self.dim))[1:]:
+                bc = self.basis @ np.array(c, dtype=float)
+                shortest = bc + 2.0 * self._nearest(-bc / 2, 1e-9 / 4)
+                if len(shortest) < 2:
+                    raise RuntimeError("coset minimum is not a +- pair")
+                if len(shortest) == 2:  # a third minimizer makes the pair not relevant
+                    # the later of the pair is Bc itself when Bc is shortest
+                    rel += [shortest[1], -shortest[1]]
+            self._relevant = np.array(rel)
         return self._relevant
 
     def contains(self, v, tol: float = 1e-12) -> bool:
@@ -337,10 +334,13 @@ class VoronoiCell(PrimitiveCell):
             cuts[-1] = right
             a, b = np.array(cuts[:-1]), np.array(cuts[1:])
             # the facet r . v = |r|^2 / 2 is y = slope x + icpt; at a slab's
-            # midpoint the lowest facet above it and the highest below it bound it
+            # midpoint the lowest facet above it and the highest below it bound it;
+            # a facet whose slope overflows is vertical, so it bounds no slab
             rels = self.relevant_vectors()
-            rels = rels[rels[:, 1] != 0]
-            slope, icpt = -rels[:, 0] / rels[:, 1], 0.5 * np.sum(rels ** 2, axis=1) / rels[:, 1]
+            with np.errstate(divide="ignore", over="ignore"):
+                slope, icpt = -rels[:, 0] / rels[:, 1], 0.5 * np.sum(rels ** 2, axis=1) / rels[:, 1]
+            keep = np.isfinite(slope) & np.isfinite(icpt)
+            rels, slope, icpt = rels[keep], slope[keep], icpt[keep]
             at_mid = np.outer((a + b) / 2, slope) + icpt
             hi = np.where(rels[:, 1] > 0, at_mid, np.inf).argmin(axis=1)
             lo = np.where(rels[:, 1] < 0, at_mid, -np.inf).argmax(axis=1)
@@ -573,8 +573,8 @@ def code_from_config(cfg) -> tuple:
       {"name": "square", "params": {...}, "cell": {"voronoi": {}}}
       {"sigma": [[...], ...], "dims": [...], "cell": {"box": [[lo, hi], ...]}}
 
-    The cell is one of {"box": [[lo, hi], ...]}, {"voronoi": {"radius": r}}
-    (radius optional) and {"symmetric": {}}; the default is {"voronoi": {}}.
+    The cell is one of {"box": [[lo, hi], ...]}, {"voronoi": {}} and
+    {"symmetric": {}}; the default is {"voronoi": {}}.
     A key that is not read raises a ValueError that names it.
     """
     if isinstance(cfg, str):
@@ -602,9 +602,7 @@ def code_from_config(cfg) -> tuple:
     if "box" in cell_cfg:
         return code, BoxCell(cell_cfg["box"])
     if "voronoi" in cell_cfg:
-        voronoi = _checked("cell.voronoi", cell_cfg["voronoi"], (), ("radius",))
-        if "radius" in voronoi and not (type(voronoi["radius"]) is int and voronoi["radius"] > 0):
-            raise ValueError(f"cell.voronoi.radius must be a positive integer, got {voronoi['radius']!r}")
-        return code, VoronoiCell(code, **voronoi)
+        _checked("cell.voronoi", cell_cfg["voronoi"], (), ())
+        return code, VoronoiCell(code)
     _checked("cell.symmetric", cell_cfg["symmetric"], (), ())
     return code, repetition_symmetric_cell(code)

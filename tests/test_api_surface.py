@@ -29,7 +29,6 @@ ALLOWED_DEFAULTS = {
     "fock.ideal_decode_batch(grid)",
     "lattice.BoxCell.contains(tol)",
     "lattice.PrimitiveCell.contains(tol)",
-    "lattice.VoronoiCell.__init__(radius)",
     "lattice.VoronoiCell.contains(tol)",
     "lattice.hexagonal_code(d)",
     "lattice.rectangular_code(d)",

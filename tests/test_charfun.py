@@ -317,12 +317,15 @@ def test_dephased_envelope_sigma_zero_reduces_to_envelope():
 
 
 def test_dephased_envelope_node_values():
-    # node phi: prefactor 1/|1 - e^{-Delta^2 + i phi}|^2, quadratic coth((Delta^2 - i phi)/2)
+    # Gauss-Hermite node x, weight w: phi = sqrt(2) sigma x, term weight w / sqrt(pi),
+    # prefactor 1/|1 - e^{-Delta^2 + i phi}|^2, quadratic coth((Delta^2 - i phi)/2)
     delta, sigma = 0.5, 0.05
     cf = dephased_envelope_charfun(sigma, delta, nodes=16)
-    phis = cf.quadrature["nodes"]
-    for (w, kern), phi in zip(cf.terms, phis):
-        z = delta ** 2 - 1j * phi
+    xs, ws = np.polynomial.hermite.hermgauss(16)
+    assert len(cf.terms) == 16
+    for (weight, kern), x, w in zip(cf.terms, xs, ws):
+        assert weight == pytest.approx(w / np.sqrt(np.pi), rel=1e-12)
+        z = delta ** 2 - 1j * np.sqrt(2) * sigma * x
         assert kern.amp == pytest.approx(1 / abs(1 - np.exp(-z)) ** 2, rel=1e-12)
         assert kern.q_matrix[0, 0] == pytest.approx(-np.pi / 2 / np.tanh(z / 2), rel=1e-12)
 

@@ -162,7 +162,7 @@ def test_bloch_trajectory(tmp_path):
 
 @pytest.mark.parametrize("cfg, want", [
     ({"code": HEX_CODE}, HEX_REPORT),
-    ({"code": {"name": "repetition", "params": {"n": 3}, "cell": {"voronoi": {"radius": 2}}},
+    ({"code": {"name": "repetition", "params": {"n": 3}, "cell": {"voronoi": {}}},
       "symmetric_cell": True}, REPETITION_REPORT),
 ])
 def test_lattice_report(tmp_path, cfg, want):

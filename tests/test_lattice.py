@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from gkpsim.lattice import (
     CLIFFORD_SYMPLECTICS,
+    MAX_WINDOW,
     BoxCell,
+    GkpCode,
     ShiftedUnionCell,
     VoronoiCell,
     code_from_config,
@@ -55,18 +58,62 @@ def test_remainder_idempotence_and_consistency():
             assert np.max(np.abs(shift2)) <= 1e-12
 
 
+def _brute_nearest(basis, v):
+    """(smallest squared distance, lexicographically first nearest point) of
+    the lattice B Z^n to v, over every coefficient offset within
+    d0 / sigma_min + 1/2 of the rounded solution s0, d0 the distance of
+    B s0 to v: a point no farther than B s0 has coefficients within
+    d0 / sigma_min of B^-1 v."""
+    dim = len(v)
+    s0 = np.round(np.linalg.solve(basis, v))
+    sigma_min = np.linalg.svd(basis, compute_uv=False).min()
+    r = int(np.linalg.norm(v - basis @ s0) / sigma_min + 0.5)
+    axis = np.arange(-r, r + 1)
+    offs = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    pts = (s0 + offs) @ basis.T
+    d2 = np.sum((v - pts) ** 2, axis=1)
+    return d2.min(), pts[np.argmax(d2 <= d2.min() + 1e-12)]
+
+
+def _relevant_by_enumeration(basis):
+    """Relevant vectors by the coset criterion, each coset Bc + 2 B Z^n
+    searched over the k within |Bc| / (2 sigma_min) + 1/2 of -c/2, which
+    hold every coset vector Bc + 2 B k no longer than Bc."""
+    dim = basis.shape[0]
+    sigma_min = np.linalg.svd(basis, compute_uv=False).min()
+    rel = []
+    for c in itertools.product((0, 1), repeat=dim):
+        if any(c):
+            bc = basis @ np.array(c, dtype=float)
+            r = int(np.linalg.norm(bc) / 2 / sigma_min) + 1
+            axis = np.arange(-r, r + 1)
+            ks = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+            coset = bc + 2 * ks @ basis.T
+            d2 = np.sum(coset ** 2, axis=1)
+            shortest = coset[d2 <= d2.min() + 1e-9]
+            if len(shortest) == 2:
+                rel.extend(shortest)
+    return np.array(rel)
+
+
 def test_voronoi_minimality_against_enumeration():
-    code = hexagonal_code()
-    cell = VoronoiCell(code)
-    basis = code.dual_basis()
-    grid = np.array([[i, j] for i in range(-7, 8) for j in range(-7, 8)], dtype=float)
-    pts = grid @ basis.T
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        v = rng.normal(size=2) * 2.0
-        rem, _ = cell.remainder(v)
-        d2 = np.sum((v - pts) ** 2, axis=1)
-        assert rem @ rem <= d2.min() + 1e-10
+    # the hexagonal code, a rectangular code with sigma_max / sigma_min = 7.4
+    # and one of the random 2D family with sigma_max / sigma_min = 24.1
+    for code in [hexagonal_code(), rectangular_code(2.72),
+                 GkpCode(rotation(0.3) @ np.diag([np.e, 1 / np.e]) @ [[1, 1.5], [0, 1]], (2,))]:
+        cell = VoronoiCell(code)
+        basis = code.dual_basis()
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            v = rng.normal(size=2) * 2.0
+            rem, shift = cell.remainder(v)
+            d2, first = _brute_nearest(basis, v)
+            assert rem @ rem <= d2 + 1e-10
+            assert np.allclose(shift, first, rtol=0, atol=1e-12)
+        want = _relevant_by_enumeration(basis)
+        got = cell.relevant_vectors()
+        assert len(got) == len(want)
+        assert all(np.min(np.abs(want - r).max(axis=1)) <= 1e-12 for r in got)
 
 
 def test_remainder_trivial_cases():
@@ -81,39 +128,38 @@ def test_remainder_trivial_cases():
     assert list(code.dual_coefficients(shift)) == [1, 0]
 
 
-def test_voronoi_radius_growth_changes_nothing():
-    code = hexagonal_code()
-    c3 = VoronoiCell(code, radius=3)
-    c4 = VoronoiCell(code, radius=4)
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        v = rng.normal(size=2) * 3.0
-        r3, _ = c3.remainder(v)
-        r4, _ = c4.remainder(v)
-        assert np.allclose(r3, r4, atol=1e-12)
-
-
 def test_voronoi_search_radius_is_proven():
     a = ALPHA_STAR / np.sqrt(2)
     b = 1 / (np.sqrt(2) * ALPHA_STAR)
     rng = np.random.default_rng(23)
-    for code, radius in [(square_code(), 3), (hexagonal_code(), 3), (rectangular_code(0.8), 3),
-                         (square_code(2, 2), 3), (repetition_code(3, ALPHA_STAR), 2)]:
-        cell = VoronoiCell(code, radius=radius)
+    for code in [square_code(), hexagonal_code(), rectangular_code(0.8), rectangular_code(2.72),
+                 square_code(2, 2), repetition_code(3, ALPHA_STAR)]:
+        cell = VoronoiCell(code)
         assert len(cell.relevant_vectors()) > 0
         for _ in range(200):
             v = rng.normal(size=cell.dim) * 3.0
             rem, _ = cell.remainder(v)
             assert cell.contains(rem, tol=1e-9)
     # a deep hole of the repetition code's dual lattice (body-centred cubic in
-    # position, simple cubic in momentum) lies 1.005 from every dual vector
+    # position, simple cubic in momentum) lies 1.005 from every dual vector,
+    # beyond what the window of +-1 proves
+    code = repetition_code(3, ALPHA_STAR)
     deep_hole = np.array([a, a / 2, 0.0, b / 2, b / 2, b / 2])
-    VoronoiCell(repetition_code(3, ALPHA_STAR), radius=2).remainder(deep_hole)
-    too_small = VoronoiCell(repetition_code(3, ALPHA_STAR), radius=1)
-    with pytest.raises(RuntimeError, match="radius 1"):
-        too_small.relevant_vectors()
-    with pytest.raises(RuntimeError, match="radius 1"):
-        too_small.remainder(deep_hole)
+    rem, shift = VoronoiCell(code).remainder(deep_hole)
+    d2, first = _brute_nearest(code.dual_basis(), deep_hole)
+    assert rem @ rem == pytest.approx(d2, abs=1e-12) and np.sqrt(d2) == pytest.approx(1.005, abs=1e-3)
+    assert np.allclose(shift, first, rtol=0, atol=1e-12)
+
+
+def test_voronoi_window_above_the_cap_raises():
+    # five modes: the +-1 window holds 3^10 offsets, but the cosets of the
+    # relevant-vector search need a wider window than MAX_WINDOW allows
+    cell = VoronoiCell(repetition_code(5))
+    rem, shift = cell.remainder(np.full(10, 0.01))
+    assert np.allclose(rem, 0.01) and not np.any(shift)
+    with pytest.raises(ValueError, match=r"\d+ offsets, above MAX_WINDOW"):
+        cell.relevant_vectors()
+    assert all((2 * r + 1) ** 10 <= MAX_WINDOW for r in cell._windows)
 
 
 def test_shortest_error_square():
@@ -125,7 +171,7 @@ def test_shortest_error_square():
 
 def test_shortest_error_repetition():
     code = repetition_code(3, ALPHA_STAR)
-    cell = VoronoiCell(code, radius=2)
+    cell = VoronoiCell(code)
     dx = shortest_error_length(code, cell, "X")
     dz = shortest_error_length(code, cell, "Z")
     assert dx == pytest.approx(np.sqrt(3) * ALPHA_STAR / (2 * np.sqrt(2)), abs=1e-12)
@@ -135,7 +181,7 @@ def test_shortest_error_repetition():
 
 def test_symmetric_cell_distance_and_ratio():
     code = repetition_code(3, ALPHA_STAR)
-    vor = VoronoiCell(code, radius=2)
+    vor = VoronoiCell(code)
     sym = repetition_symmetric_cell(code)
     dx_v = shortest_error_length(code, vor, "X")
     dx_p = shortest_error_length(code, sym, "X")
@@ -218,15 +264,14 @@ def test_config_loading(tmp_path):
     with pytest.raises(ValueError):
         code_from_config({"name": "dodecahedral"})
     code, cell = code_from_config({"name": "repetition", "params": {"n": 3, "alpha": ALPHA_STAR},
-                                   "cell": {"voronoi": {"radius": 2}}})
-    assert code.dims == (2, 1, 1) and cell.radius == 2
+                                   "cell": {"voronoi": {}}})
+    assert code.dims == (2, 1, 1) and isinstance(cell, VoronoiCell)
     _, cell = code_from_config({"name": "repetition", "cell": {"symmetric": {}}})
     assert isinstance(cell, ShiftedUnionCell)
     # a key that is not read is an error that names the key
     for cfg, key in [
         ({"name": "square", "cell": {"voronoi": {"tie_tol": 1e-9}}}, "tie_tol"),
-        ({"name": "square", "cell": {"voronoi": {"radius": "x"}}}, "radius"),
-        ({"name": "square", "cell": {"voronoi": {"radius": 0}}}, "radius"),
+        ({"name": "square", "cell": {"voronoi": {"radius": 2}}}, "radius"),
         ({"name": "square", "params": {"dd": 3}}, "dd"),
         ({"name": "square", "cel": {"voronoi": {}}}, "cel"),
         ({"name": "hexagonal", "params": {"n": 2}}, "n"),
