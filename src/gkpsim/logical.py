@@ -12,16 +12,17 @@ Only b_v and const of the restricted exponent change from one (s, t) pair
 to the next, and both are affine in each label, so window_coefficients
 computes the rest of each kernel term once (_TermWork): the restricted form
 and its checks, the slab rules, the pieces of b_v and const that depend on
-one label only, and a box cell's 1D factors of every label pair, one array
-call per coordinate, from which a box pair adds up its integral in a few
-scalar operations.  A slab rule's y factors depend on a pair only through
-b_1, so each distinct b_1 gets one row of factors over the nodes, and the
-integrands of every pair (s, t) with one label s are built as one batch of
-elementwise operations; a pair then sums its own row over the nodes.
-All of it is dropped before the next term and when the call returns; each
-(pair, term) still makes one box_cell_integral or numeric_cell_integral
-call, and such a call on its own does the work of just its two labels (of
-just its pair, for a slab y factor), with the same bits.
+one label only, and a box cell's integrals of every label pair as one array
+(const from outer sums of the pieces, one array call of 1D factors per
+coordinate, one exp), from which a box pair reads its element.  A slab
+rule's y factors depend on a pair only through b_1, so each distinct b_1
+gets one row of factors over the nodes, and the integrands of every pair
+(s, t) with one label s are built as one batch of elementwise operations;
+a pair then sums its own row over the nodes.  All of it is dropped before
+the next term and when the call returns; each (pair, term) still makes one
+box_cell_integral or numeric_cell_integral call, and such a call on its own
+builds the same table for just its two labels (the same row for just its
+pair, for a slab y factor), with the same bits.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
 
@@ -164,6 +165,13 @@ def _each(m, lab):
     return out
 
 
+def _complex(re, im):
+    """The complex array re + i im, built without complex arithmetic."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _rowdot(x, lab):
     """x_k . l_k for every row pair, added one column at a time."""
     out = x[:, 0] * lab[:, 0]
@@ -176,14 +184,15 @@ class _TermWork:
     """What the cell integrals of one kernel term on one code and cell share
     over every (s, t) pair: the restricted quadratic form, its checked box
     diagonal, each slab rule with the pair-independent parts of its
-    exponent, the per-label pieces of the exponent, the box cell's tables
-    of 1D factors over the primed labels, and per slab rule a table of y
-    factors, one row of nodes per distinct b_1, with the integrands of the
-    latest row of pairs.  The pieces of a label are computed the first time
-    a pair needs them, or for a whole window at once by prime; everything
-    else the first time a pair needs it.  A slab row runs over the window
-    labels that window_coefficients gives; a work without them (a lone
-    call's) builds the one pair asked for.
+    exponent, the per-label pieces of the exponent, the box cell's table
+    over the primed label pairs (const and, in double precision, the value
+    of each pair as one array; in mpmath the arguments of its 1D factors),
+    and per slab rule a table of y factors, one row of nodes per distinct
+    b_1, with the integrands of the latest row of pairs.  The pieces of a
+    label are computed the first time a pair needs them, or for a whole
+    window at once by prime; everything else the first time a pair needs
+    it.  A slab row runs over the window labels that window_coefficients
+    gives; a work without them (a lone call's) builds the one pair asked for.
 
     FULL: with lbar = lbar(s) and J = (1, 1)^T, the exponent of
     c_{s,t}(v, v) = c(v + lbar(s), v + lbar(t)) e^{i pi v^T Om (lbar(s) - lbar(t))}
@@ -201,7 +210,7 @@ class _TermWork:
         self.kernel, self.code, self.cell = kernel, code, cell
         self.window = ()  # the labels t of a slab row of pairs (s, t), set by window_coefficients
         self.pieces = {}  # tuple(s) -> the pieces of lbar(s)
-        self.box = None  # (ctx, label -> position, tables per coordinate, mpmath factors)
+        self.box = None  # (ctx, label -> position, const, table, mpmath factors)
         self.rules = {}  # order -> the slab rules of orders n and n + n // 2
         self.y_factors = {}  # order -> {exact bits of b_1: (exponent, prefactor) at the nodes}
         self.row = None  # ((order, s), label t -> position, the integrand of each pair (s, t))
@@ -228,7 +237,8 @@ class _TermWork:
             return
         _, two_jq, _, om = self.restricted
         q, lin = self.kernel.q_matrix, self.kernel.linear
-        lab = np.array([self.code.dual_vector(s) for s in new])
+        basis = self.code.dual_basis()  # code.dual_vector(s), with the basis built once
+        lab = np.array([basis @ np.asarray(s, dtype=float) for s in new])
         if om is None:
             pieces = zip((_each(two_jq, lab) + lin).tolist(), _rowdot(_each(q, lab) + lin, lab).tolist())
         else:
@@ -251,56 +261,73 @@ class _TermWork:
         b0, b1, const = self._slab_forms(s, (t,))
         return [b0.item(), b1.item()], const.item()
 
-    def _const(self, s, t):
-        """const of a FULL kernel's pair, from the pieces of its primed labels."""
-        _, _, _, alpha, _, u, _ = self.pieces[s]
-        _, _, _, _, beta, _, lt = self.pieces[t]
-        const = alpha + beta
-        for x, y in zip(u, lt):
-            const += x * y
-        return const
-
-    def box_form(self, s, t, ctx):
-        """(const, [(exponent, prefactor) of the 1D factor of q = -Q_v[k, k] and
-        b = b_v[k] over interval k, for each k]) of c_{s,t}(v, v) on the box, or
-        None where it vanishes; each distinct mpmath (ctx) factor is computed once."""
+    def box_value(self, s, t, ctx):
+        """The integral of c_{s,t}(v, v) over the box, or None where it
+        vanishes: in double precision (ctx None) an element of the term's
+        table, which raises OverflowError where it is not finite; in the
+        mpmath context ctx from the table's const and one 1D factor per
+        coordinate, each distinct one computed once."""
         s, t = tuple(s), tuple(t)
         box = self.box
         if box is None or box[0] is not ctx or s not in box[1] or t not in box[1]:
             self.prime((s, t))
             box = self.box = ctx, *self._box_tables(ctx), {}
-        _, index, tables, distinct = box
+        _, index, const, table, distinct = box
         if self.restricted[3] is not None:
-            at, const = index[s] * len(index) + index[t], self._const(s, t)
+            at = index[s] * len(index) + index[t]
         elif s == t:
-            at, const = index[s], self.pieces[s][1]
+            at = index[s]
         else:
             return None
         if ctx is None:
-            return const, [(ex.item(at), pf.item(at)) for ex, pf in tables]
-        keys = [table[at] for table in tables]
-        for key in keys:
+            value = table[at]
+            if not cmath.isfinite(value):
+                raise OverflowError(f"box integral of pair {s}, {t} overflows double precision")
+            return value
+        exponent, pref = ctx.mpc(const.item(at)), ctx.mpc(self.kernel.amp)
+        for key in (args[at] for args in table):
             if key not in distinct:
                 distinct[key] = _gaussian_1d_mp(ctx, *key)
-        return const, [distinct[key] for key in keys]
+            exponent, pref = exponent + distinct[key][0], pref * distinct[key][1]
+        return pref * ctx.exp(exponent)
 
     def _box_tables(self, ctx):
-        """(label -> position, per coordinate the 1D factors of every primed
-        label pair flat in (s, t) order, or label for DIAG_DELTA: arrays of
-        exponents and prefactors, or mpmath arguments, which pairs with one
-        lbar(s) - lbar(t) share through the exact Omega term of b_v)."""
+        """(label -> position, const, table) over every primed label pair flat
+        in (s, t) order, or label for DIAG_DELTA.  const = alpha(s) + beta(t)
+        + u(s) . lbar(t) in double precision; the table is the value of each
+        pair, or (ctx) per coordinate the arguments of its 1D factors, which
+        pairs with one lbar(s) - lbar(t) share through the exact Omega term
+        of b_v.  Products follow CPython's complex arithmetic, one rounding
+        per real operation, so an element's bits do not depend on the batch."""
         _, _, jl, om = self.restricted
-        pieces = list(self.pieces.values())
-        tables = []
-        for k, (q, (lo, hi)) in enumerate(zip(self.box_diag, self.cell.intervals)):
-            b, *rest = (np.array([p[i][k] for p in pieces]) for i in range(1 if om is None else 3))
-            if rest:  # a(s) + b(t) + (J^T L)_k + i pi (Om lbar(s) - Om lbar(t))_k
-                b = (b[:, None] + rest[0] + jl[k] + _IPI * (rest[1][:, None] - rest[1])).ravel()
-            if ctx is None:
-                tables.append(_gaussian_1d(-q, b, lo, hi))
-            else:
-                tables.append([(-q, x, lo, hi) for x in b.tolist()])
-        return {s: i for i, s in enumerate(self.pieces)}, tables
+        pieces = [np.array(x) for x in zip(*self.pieces.values())]  # one array per piece, a row per label
+        if om is None:
+            bv, const = pieces
+            bv = bv.T
+        else:
+            a, b, om_l, alpha, beta, u, lt = pieces
+            const = alpha[:, None] + beta
+            for x, y in zip(u.T[:, :, None], lt.T):  # x * y with y a float promoted to complex
+                const = const + _complex(x.real * y - x.imag * 0.0, x.real * 0.0 + x.imag * y)
+            const = const.ravel()
+            # a(s) + b(t) + (J^T L)_k + i pi (Om lbar(s) - Om lbar(t))_k
+            bv = [(a[:, k, None] + b[:, k] + jl[k] + _IPI * (om_l[:, k, None] - om_l[:, k])).ravel()
+                  for k in range(len(jl))]
+        table = [_gaussian_1d(-q, x, lo, hi) if ctx is None else [(-q, y, lo, hi) for y in x.tolist()]
+                 for q, x, (lo, hi) in zip(self.box_diag, bv, self.cell.intervals)]
+        index = {s: i for i, s in enumerate(self.pieces)}
+        if ctx is not None:
+            return index, const, table
+        amp = complex(self.kernel.amp)
+        exponent, re, im = const, amp.real, amp.imag
+        with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite raises when read
+            for ex, pf in table:
+                exponent = exponent + ex
+                re, im = re * pf.real - im * pf.imag, re * pf.imag + im * pf.real
+            e = np.exp(exponent)
+            value = _complex(re * e.real - im * e.imag, re * e.imag + im * e.real)
+        value[exponent.real < -745.0] = 0  # underflows double precision
+        return index, const, value.tolist()
 
     @functools.cached_property
     def box_diag(self):
@@ -408,26 +435,18 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     for every isotropic single-mode kernel family here).  Delta-constrained
     kernels follow their density conventions: DIAG_DELTA contributes only for
     lbar(s) = lbar(t), POINT only when the point falls in the cell.  Inside
-    window_coefficients the restricted form, its two checks, the label
-    pieces and the tables of 1D factors come from the term's shared work; on
-    its own the call does all of it for its two labels, so it stays the
-    per-pair oracle.
+    window_coefficients a double-precision call reads its element of the
+    term's table (_TermWork.box_value), and an mpmath call its const and 1D
+    factor arguments; on its own the call primes its two labels and builds
+    the same table for them, so it stays the per-pair oracle.  A value that
+    is not finite raises OverflowError; one whose exponent lies below -745
+    underflows double precision and reads as 0.
     """
-    exp, scalar = (cmath.exp, complex) if ctx is None else (ctx.exp, ctx.mpc)
+    scalar = complex if ctx is None else ctx.mpc
     if kernel.kind == POINT:
         return scalar(_point_value(kernel, code, cell, s, t))
-    form = _term_work(kernel, code, cell).box_form(s, t, ctx)
-    if form is None:
-        return scalar(0.0)
-    const, factors = form
-    exponent = scalar(const)
-    pref = scalar(kernel.amp)
-    for ex, pf in factors:
-        exponent = exponent + ex
-        pref = pref * pf
-    if ctx is None and exponent.real < -745.0:
-        return 0.0 + 0.0j  # value underflows double precision
-    return pref * exp(exponent)
+    value = _term_work(kernel, code, cell).box_value(s, t, ctx)
+    return scalar(0.0) if value is None else value
 
 
 @functools.lru_cache(maxsize=8)
@@ -569,16 +588,25 @@ class LogicalSuperop:
         coefficient makes chi an object array at that coefficient's precision."""
         dims = tuple(dims)
         m = int(np.prod(dims)) ** 2
-        values = list(coeffs.values())
-        dtype = object if np.asarray(values).dtype == object else complex
+        firsts, seconds = zip(*coeffs)
+        labels = sorted(set(firsts).union(seconds))
+        rank = dict(zip(labels, itertools.count()))
+        rs, rt = (np.fromiter(map(rank.__getitem__, x), int, len(x)) for x in (firsts, seconds))
+        order = np.lexsort((rt, rs))  # sorted pair order
+        rs, rt = rs[order], rt[order]
+        values = np.asarray(list(coeffs.values()))[order]
+        dtype = object if values.dtype == object else complex
         if dtype is object and max(dims) > 2:
             raise ValueError("mpmath channels need qubit modes, whose Pauli phases are exact")
-        chi = np.full((m, m), 0 * values[0], dtype=dtype)
-        folds = {s: _fold(dims, s) for s in set(itertools.chain(*coeffs))}
-        for (s, t), c in sorted(coeffs.items()):
-            i, sign_s = folds[s]
-            j, sign_t = folds[t]
-            chi[i, j] += sign_s * sign_t * c
+        chi = np.full((m, m), 0 * next(iter(coeffs.values())), dtype=dtype)
+        index, sign = np.array([_fold(dims, s) for s in labels]).T
+        sign = sign[rs] * sign[rt]
+        if dtype is object:
+            signed = sign.astype(object) * values
+        else:  # sign * c as CPython multiplies an int and a complex, one rounding per real operation
+            c = values.astype(complex)
+            signed = _complex(sign * c.real - 0.0 * c.imag, sign * c.imag + 0.0 * c.real)
+        np.add.at(chi, (index[rs], index[rt]), signed)
         return cls(dims, chi)
 
     @property
@@ -677,8 +705,10 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
 
     Every (pair, term) makes one box_cell_integral or numeric_cell_integral
     call, with the same bits as a call on its own; each term's _TermWork, its
-    labels primed in one batch, is held in _TERM_WORK for that term only and
-    dropped when the call returns or raises.
+    labels primed in one batch and its box table built on the first pair, is
+    held in _TERM_WORK for that term only and dropped when the call returns
+    or raises.  Each pair sums its terms in order, over per-term lists in
+    pair order; quad_err adds up in the same pair order.
     """
     window = trunc.window(2 * code.n_modes)
     use_box = isinstance(cell, BoxCell)
@@ -689,8 +719,11 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
         ctx = mp.MPContext()
         ctx.dps = dps
     scalar = complex if ctx is None else ctx.mpc
-    coeffs = {(s, t): scalar(0.0) for s in window for t in window}
+    pairs = list(itertools.product(window, window))
+    acc = [scalar(0.0)] * len(pairs)
     fold = {s: _fold(code.dims, s)[0] for s in window}
+    on_diagonal = [fold[s] == fold[t] != 0 for s, t in pairs]
+    diagonal = [i for i, (s, t) in enumerate(pairs) if s == t]  # where a DIAG_DELTA term lives
     underflowed = 0
     quad_err = 0.0
     token = _TERM_WORK.set(None)
@@ -703,19 +736,23 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                 work.prime(window)
                 work.window = window
             _TERM_WORK.set(work)
-            for s, t in coeffs:
-                if use_box:
-                    val = box_cell_integral(kern, code, cell, s, t, ctx)
-                else:
-                    val, err = numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
-                    if fold[s] == fold[t] != 0:
+            if use_box:
+                vals = [box_cell_integral(kern, code, cell, s, t, ctx) for s, t in pairs]
+            else:
+                vals, errs = zip(*[numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
+                                   for s, t in pairs])
+                for on, err in zip(on_diagonal, errs):
+                    if on:
                         quad_err += abs(w) * err
-                if val == 0 and (kern.kind == FULL or (kern.kind == DIAG_DELTA and s == t)):
-                    underflowed += 1
-                coeffs[(s, t)] = coeffs[(s, t)] + scalar(w) * val
+            if kern.kind == FULL:
+                underflowed += vals.count(0)
+            elif kern.kind == DIAG_DELTA:
+                underflowed += [vals[i] for i in diagonal].count(0)
+            sw = scalar(w)
+            acc = [a + sw * v for a, v in zip(acc, vals)]
     finally:
         _TERM_WORK.reset(token)
-    return coeffs, {"underflowed": underflowed, "quad_err": quad_err}
+    return dict(zip(pairs, acc)), {"underflowed": underflowed, "quad_err": quad_err}
 
 
 def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,

@@ -404,6 +404,56 @@ def test_window_coefficients_are_bit_identical_to_per_pair_integrals():
     assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
 
 
+@pytest.mark.parametrize("cf, zeros", [
+    (random_displacement_charfun(0.25), 0), (identity_charfun(1), 0), (envelope_charfun(10 ** (-30 / 20)), 624),
+], ids=["diag-delta", "point", "past-cutoff"])
+def test_window_box_values_are_bit_identical_to_lone_calls(cf, zeros):
+    # a DIAG_DELTA term is nonzero on s = t only, a POINT term at one pair;
+    # at 30 dB the pairs past the -745 exponent cutoff read an exact 0 from
+    # the term's table, as a lone call computes it
+    got, trust = window_coefficients(SQ, CELL, cf, TruncationSpec(2))
+    expect = _per_pair_box_coefficients(cf, TruncationSpec(2), None)
+    assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
+    assert trust["underflowed"] == zeros
+
+
+@pytest.mark.parametrize("delta_db, underflowed", [(26, 576), (30, 624), (32, 624)])
+def test_underflow_count_of_deep_envelope_windows(delta_db, underflowed):
+    ch = logical_channel(SQ, CELL, envelope_charfun(10 ** (-delta_db / 20)), TruncationSpec(2))
+    assert ch.meta["underflowed"] == underflowed
+
+
+def test_box_value_that_overflows_raises_alone_and_in_the_window():
+    # exp(b^2/4q) with b = 30, q = 0.02 is e^11250: the table holds inf,
+    # which is read as an error, never as a coefficient
+    kernel = GaussianKernel(1, 1 + 0j, -0.01 * np.eye(4), np.array([30.0, 0, 0, 0]))
+    with pytest.raises(OverflowError, match="overflows double precision"):
+        box_cell_integral(kernel, SQ, CELL, (0, 0), (0, 0))
+    with pytest.raises(OverflowError, match="overflows double precision"):
+        window_coefficients(SQ, CELL, ChannelCharFn.single(kernel), TruncationSpec(0))
+
+
+def test_mpmath_box_values_read_const_from_the_shared_table():
+    kernel = compose(loss_charfun(0.01), envelope_charfun(10 ** (-26 / 20))).terms[0][1]
+    window = TruncationSpec(1).window(2)
+    s, t = (1, -1), (0, 1)
+    ctx = mp.MPContext()
+    ctx.dps = 30
+    work = logical._TermWork(kernel, SQ, CELL)
+    work.prime(window)
+    value = work.box_value(s, t, None)
+    _, index, const, _, _ = work.box
+    at = index[s] * len(index) + index[t]
+    expect = _form_oracle(kernel, SQ, s, t)[1]
+    assert abs(const[at] - expect) <= 1e-12 * abs(expect)
+    exact = work.box_value(s, t, ctx)
+    assert work.box[2].tobytes() == const.tobytes()  # the same const, in either precision
+    assert abs(complex(exact) - value) <= 1e-14 * abs(value)
+    work.box[2][at] += 1
+    assert abs(work.box_value(s, t, ctx) / exact - ctx.e) < ctx.mpf(10) ** -25
+    assert not hasattr(logical._TermWork, "_const") and not hasattr(logical._TermWork, "box_form")
+
+
 # ---------------------------------------------------------------------------
 # the per-label pieces of a pair's exponent
 
@@ -993,6 +1043,17 @@ def test_chi_fold_folds_each_label_once_in_sorted_pair_order(monkeypatch):
     chi = LogicalSuperop.from_pauli_pairs(SQ.dims, dict(reversed(coeffs.items()))).chi
     assert sorted(folded) == sorted(TruncationSpec(2).window(2))
     assert chi.tobytes() == expect.tobytes()
+
+
+def test_chi_fold_of_mpmath_coefficients_matches_the_loop():
+    coeffs, _ = window_coefficients(SQ, CELL, envelope_charfun(10 ** (-26 / 20)), TruncationSpec(1), dps=30)
+    expect = np.full((4, 4), 0 * coeffs[((0, 0), (0, 0))], dtype=object)
+    for (s, t), c in sorted(coeffs.items()):
+        i, sign_s = logical._fold(SQ.dims, s)
+        j, sign_t = logical._fold(SQ.dims, t)
+        expect[i, j] += sign_s * sign_t * c
+    chi = LogicalSuperop.from_pauli_pairs(SQ.dims, dict(reversed(coeffs.items()))).chi
+    assert chi.dtype == object and repr(chi.tolist()) == repr(expect.tolist())
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
