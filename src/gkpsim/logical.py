@@ -11,18 +11,18 @@ of the polygon's vertical slabs.
 Only b_v and const of the restricted exponent change from one (s, t) pair
 to the next, and both are affine in each label, so window_coefficients
 computes the rest of each kernel term once (_TermWork): the restricted form
-and its checks, the slab rules, the pieces of b_v and const that depend on
-one label only, and a box cell's integrals of every label pair as one array
-(const from outer sums of the pieces, one array call of 1D factors per
-coordinate, one exp), from which a box pair reads its element.  A slab
-rule's y factors depend on a pair only through b_1, so each distinct b_1
-gets one row of factors over the nodes, and the integrands of every pair
-(s, t) with one label s are built as one batch of elementwise operations;
-a pair then sums its own row over the nodes.  All of it is dropped before
-the next term and when the call returns; each (pair, term) still makes one
+and its checks, the slab rules, and the pieces of b_v and const that depend
+on one label only.  On a box cell the integrals of every label pair are
+tables built for a block of consecutive terms at once (_box_tables): const
+from outer sums of the pieces, one _gaussian_1d call on each distinct
+(term, coordinate, b_k), one exp; a pair reads its element.  A slab rule's
+y factors depend on a pair only through b_1, so each distinct b_1 gets one
+row of factors over the nodes, and the integrands of every pair (s, t) with
+one label s are built as one batch of elementwise operations; a pair then
+sums its own row over the nodes.  Each (pair, term) still makes one
 box_cell_integral or numeric_cell_integral call, and such a call on its own
-builds the same table for just its two labels (the same row for just its
-pair, for a slab y factor), with the same bits.
+builds the same table for just its term and two labels (the same row for
+just its pair, for a slab y factor), with the same bits.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
 
@@ -71,9 +71,10 @@ ERF_GROWTH_MAX = 100.0
 
 def _gaussian_1d(q, b, lo, hi):
     """(exponent, prefactor) arrays with int_lo^hi exp(-q y^2 + b y) dy =
-    prefactor * exp(exponent) elementwise, for one complex q with Re q > 0 and
+    prefactor * exp(exponent) elementwise, for complex q with Re q > 0 and
     arrays b and lo <= hi that broadcast together, by elementwise operations
-    only, so an element's bits do not depend on the batch.
+    only, so an element's bits do not depend on the batch.  q is a number,
+    or an array like b (its numpy square root may differ from cmath's).
 
     With z = sqrt(q) (y - b/2q) the exponent is b^2/4q and the prefactor
     sqrt(pi) / (2 sqrt q) (erf(z_2) - erf(z_1)), a difference of erfc values
@@ -84,7 +85,7 @@ def _gaussian_1d(q, b, lo, hi):
     (or at its peak between them) times a bounded factor, and the exponent
     is the largest real part among the terms.
     """
-    sq = cmath.sqrt(q)
+    sq = cmath.sqrt(q) if np.ndim(q) == 0 else np.sqrt(q)
     center = b / (2 * q)
     z1, z2 = sq * (lo - center), sq * (hi - center)
     exponent = b * b / (4 * q)
@@ -96,7 +97,7 @@ def _gaussian_1d(q, b, lo, hi):
     diff[same] = sign * (scipy.special.erfc(sign * z1[same]) - scipy.special.erfc(sign * z2[same]))
     diff[mixed] = scipy.special.erf(z2[mixed]) - scipy.special.erf(z1[mixed])
     if big.any():
-        b, lo, hi = (np.broadcast_to(v, big.shape)[big] for v in (b, lo, hi))
+        q, b, lo, hi = (np.broadcast_to(v, big.shape)[big] for v in (q, b, lo, hi))
         z1, z2, peak = z1[big], z2[big], exponent[big]
         e_lo, e_hi = -q * lo * lo + b * lo, -q * hi * hi + b * hi
         # w(s i z) with the sign s that makes Re(s z) >= 0; a centre between
@@ -157,11 +158,11 @@ _IPI = 1j * np.pi
 
 
 def _each(m, lab):
-    """m @ l for every row l of lab, added one column at a time.  Only
-    elementwise operations, so a label's bits do not depend on the batch."""
-    out = m[:, 0] * lab[:, :1]
+    """m @ l for every row l of lab and every m of a stack, added one column
+    at a time: elementwise operations only, so no bit depends on a batch."""
+    out = m[..., None, :, 0] * lab[:, :1]
     for j in range(1, lab.shape[1]):
-        out = out + m[:, j] * lab[:, j:j + 1]
+        out = out + m[..., None, :, j] * lab[:, j:j + 1]
     return out
 
 
@@ -173,26 +174,47 @@ def _complex(re, im):
 
 
 def _rowdot(x, lab):
-    """x_k . l_k for every row pair, added one column at a time."""
-    out = x[:, 0] * lab[:, 0]
+    """x_k . l_k for every row pair (of each x of a stack), added one column at a time."""
+    out = x[..., 0] * lab[:, 0]
     for j in range(1, lab.shape[1]):
-        out = out + x[:, j] * lab[:, j]
+        out = out + x[..., j] * lab[:, j]
     return out
+
+
+def _label_vectors(code: GkpCode, labels):
+    """lbar(s) = code.dual_vector(s) of every label s, as rows, with the basis built once."""
+    basis = code.dual_basis()
+    return np.array([basis @ np.asarray(s, dtype=float) for s in labels])
+
+
+def _label_pieces(works, lab):
+    """_TermWork's pieces of each row lbar of lab for the works (terms of one
+    kind), as arrays with a term axis: (a, b, Om lbar, alpha, beta, u, lbar)
+    for FULL, Om lbar and lbar with a term axis of 1, or (b_v, const)."""
+    om = works[0].restricted[3]
+    two_jq = np.array([w.restricted[1] for w in works])
+    q = np.array([w.kernel.q_matrix for w in works])
+    lin = np.array([w.kernel.linear for w in works])[:, None]
+    if om is None:
+        return _each(two_jq, lab) + lin, _rowdot(_each(q, lab) + lin, lab)
+    h = lab.shape[1]
+    return (_each(two_jq[..., :h], lab), _each(two_jq[..., h:], lab), _each(om, lab)[None],
+            _rowdot(_each(q[:, :h, :h], lab) + lin[..., :h], lab),
+            _rowdot(_each(q[:, h:, h:], lab) + lin[..., h:], lab),
+            _each((q[:, :h, h:] + q[:, h:, :h].swapaxes(1, 2)).swapaxes(1, 2), lab), lab[None])
 
 
 class _TermWork:
     """What the cell integrals of one kernel term on one code and cell share
     over every (s, t) pair: the restricted quadratic form, its checked box
-    diagonal, each slab rule with the pair-independent parts of its
-    exponent, the per-label pieces of the exponent, the box cell's table
-    over the primed label pairs (const and, in double precision, the value
-    of each pair as one array; in mpmath the arguments of its 1D factors),
-    and per slab rule a table of y factors, one row of nodes per distinct
-    b_1, with the integrands of the latest row of pairs.  The pieces of a
-    label are computed the first time a pair needs them, or for a whole
-    window at once by prime; everything else the first time a pair needs
-    it.  A slab row runs over the window labels that window_coefficients
-    gives; a work without them (a lone call's) builds the one pair asked for.
+    diagonal, the box table (_box_tables, built by the first pair that needs
+    it: for the works of its block over the window labels that
+    window_coefficients gives, or for this term over a lone pair's labels),
+    each slab rule with the pair-independent parts of its exponent, the
+    per-label pieces of a slab exponent (for a whole window at once by
+    prime), and per slab rule a table of y factors, one row of nodes per
+    distinct b_1, with the integrands of the latest row of pairs, which runs
+    over the window's labels (a work without them builds one pair).
 
     FULL: with lbar = lbar(s) and J = (1, 1)^T, the exponent of
     c_{s,t}(v, v) = c(v + lbar(s), v + lbar(t)) e^{i pi v^T Om (lbar(s) - lbar(t))}
@@ -208,9 +230,9 @@ class _TermWork:
 
     def __init__(self, kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell):
         self.kernel, self.code, self.cell = kernel, code, cell
-        self.window = ()  # the labels t of a slab row of pairs (s, t), set by window_coefficients
+        self.window, self.lab, self.block = {}, None, None  # label -> position, lbar as rows, the block
         self.pieces = {}  # tuple(s) -> the pieces of lbar(s)
-        self.box = None  # (ctx, label -> position, const, table, mpmath factors)
+        self.box = None  # (ctx, label -> position, const, values or b_v, all finite or 1D factor memo)
         self.rules = {}  # order -> the slab rules of orders n and n + n // 2
         self.y_factors = {}  # order -> {exact bits of b_1: (exponent, prefactor) at the nodes}
         self.row = None  # ((order, s), label t -> position, the integrand of each pair (s, t))
@@ -233,22 +255,9 @@ class _TermWork:
     def prime(self, labels):
         """Compute the pieces of every label not seen yet, as one batch."""
         new = list(dict.fromkeys(s for s in map(tuple, labels) if s not in self.pieces))
-        if not new:
-            return
-        _, two_jq, _, om = self.restricted
-        q, lin = self.kernel.q_matrix, self.kernel.linear
-        basis = self.code.dual_basis()  # code.dual_vector(s), with the basis built once
-        lab = np.array([basis @ np.asarray(s, dtype=float) for s in new])
-        if om is None:
-            pieces = zip((_each(two_jq, lab) + lin).tolist(), _rowdot(_each(q, lab) + lin, lab).tolist())
-        else:
-            h = lab.shape[1]
-            pieces = zip(_each(two_jq[:, :h], lab).tolist(), _each(two_jq[:, h:], lab).tolist(),
-                         _each(om, lab).tolist(),
-                         _rowdot(_each(q[:h, :h], lab) + lin[:h], lab).tolist(),
-                         _rowdot(_each(q[h:, h:], lab) + lin[h:], lab).tolist(),
-                         _each((q[:h, h:] + q[h:, :h].T).T, lab).tolist(), lab.tolist())
-        self.pieces.update(zip(new, pieces))
+        if new:
+            pieces = _label_pieces([self], _label_vectors(self.code, new))
+            self.pieces.update(zip(new, zip(*(p[0].tolist() for p in pieces))))
 
     def form(self, s, t):
         """(b_v, const) of the exponent v^T Q_v v + b_v^T v + const of
@@ -269,65 +278,35 @@ class _TermWork:
         coordinate, each distinct one computed once."""
         s, t = tuple(s), tuple(t)
         box = self.box
-        if box is None or box[0] is not ctx or s not in box[1] or t not in box[1]:
-            self.prime((s, t))
-            box = self.box = ctx, *self._box_tables(ctx), {}
-        _, index, const, table, distinct = box
+        index = box[1] if box is not None and box[0] is ctx else {}
+        i, j = index.get(s), index.get(t)
+        if i is None or j is None:
+            if s in self.window and t in self.window:  # the block's tables, or this term's in mpmath
+                index, lab = self.window, self.lab
+                works = self.block if ctx is None and self.block else [self]
+            else:  # a lone pair
+                index, lab, works = dict(zip(dict.fromkeys((s, t)), itertools.count())), None, [self]
+            _box_tables(works, index, lab, ctx)
+            box, i, j = self.box, index[s], index[t]
+        _, _, const, table, extra = box
         if self.restricted[3] is not None:
-            at = index[s] * len(index) + index[t]
+            at = i * len(index) + j
         elif s == t:
-            at = index[s]
+            at = i
         else:
             return None
         if ctx is None:
             value = table[at]
-            if not cmath.isfinite(value):
+            if not (extra or cmath.isfinite(value)):
                 raise OverflowError(f"box integral of pair {s}, {t} overflows double precision")
             return value
         exponent, pref = ctx.mpc(const.item(at)), ctx.mpc(self.kernel.amp)
-        for key in (args[at] for args in table):
-            if key not in distinct:
-                distinct[key] = _gaussian_1d_mp(ctx, *key)
-            exponent, pref = exponent + distinct[key][0], pref * distinct[key][1]
+        for q, x, (lo, hi) in zip(self.box_diag, table, self.cell.intervals):
+            key = -q, x.item(at), lo, hi
+            if key not in extra:
+                extra[key] = _gaussian_1d_mp(ctx, *key)
+            exponent, pref = exponent + extra[key][0], pref * extra[key][1]
         return pref * ctx.exp(exponent)
-
-    def _box_tables(self, ctx):
-        """(label -> position, const, table) over every primed label pair flat
-        in (s, t) order, or label for DIAG_DELTA.  const = alpha(s) + beta(t)
-        + u(s) . lbar(t) in double precision; the table is the value of each
-        pair, or (ctx) per coordinate the arguments of its 1D factors, which
-        pairs with one lbar(s) - lbar(t) share through the exact Omega term
-        of b_v.  Products follow CPython's complex arithmetic, one rounding
-        per real operation, so an element's bits do not depend on the batch."""
-        _, _, jl, om = self.restricted
-        pieces = [np.array(x) for x in zip(*self.pieces.values())]  # one array per piece, a row per label
-        if om is None:
-            bv, const = pieces
-            bv = bv.T
-        else:
-            a, b, om_l, alpha, beta, u, lt = pieces
-            const = alpha[:, None] + beta
-            for x, y in zip(u.T[:, :, None], lt.T):  # x * y with y a float promoted to complex
-                const = const + _complex(x.real * y - x.imag * 0.0, x.real * 0.0 + x.imag * y)
-            const = const.ravel()
-            # a(s) + b(t) + (J^T L)_k + i pi (Om lbar(s) - Om lbar(t))_k
-            bv = [(a[:, k, None] + b[:, k] + jl[k] + _IPI * (om_l[:, k, None] - om_l[:, k])).ravel()
-                  for k in range(len(jl))]
-        table = [_gaussian_1d(-q, x, lo, hi) if ctx is None else [(-q, y, lo, hi) for y in x.tolist()]
-                 for q, x, (lo, hi) in zip(self.box_diag, bv, self.cell.intervals)]
-        index = {s: i for i, s in enumerate(self.pieces)}
-        if ctx is not None:
-            return index, const, table
-        amp = complex(self.kernel.amp)
-        exponent, re, im = const, amp.real, amp.imag
-        with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite raises when read
-            for ex, pf in table:
-                exponent = exponent + ex
-                re, im = re * pf.real - im * pf.imag, re * pf.imag + im * pf.real
-            e = np.exp(exponent)
-            value = _complex(re * e.real - im * e.imag, re * e.imag + im * e.real)
-        value[exponent.real < -745.0] = 0  # underflows double precision
-        return index, const, value.tolist()
 
     @functools.cached_property
     def box_diag(self):
@@ -413,6 +392,72 @@ class _TermWork:
         return b0, b1, const
 
 
+# A block of consecutive kernel terms of one kind builds its double-precision
+# box tables together, up to BOX_BLOCK (term, pair) elements (or one term)
+BOX_BLOCK = 2048
+
+
+def _distinct(x):
+    """(first, inverse) of the 2D complex array x by row and the exact bits
+    of each value (so 0.0 and -0.0 stay apart): x.flat[first] holds each
+    distinct (row, value) once, and x.flat[first][inverse] is x.flat."""
+    rows, size = x.shape
+    bits = np.ascontiguousarray(x).view(np.uint64).reshape(rows, size, 2)
+    order = (np.lexsort((bits[..., 1], bits[..., 0]), axis=1) + np.arange(0, x.size, size)[:, None]).ravel()
+    ranked = bits.reshape(-1, 2)[order]
+    new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    new[::size] = True  # each row starts afresh
+    inverse = np.empty(x.size, np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _box_tables(works, index, lab, ctx):
+    """Give each work of works (terms of one kind) its box table over the
+    labels of index, lbar the rows of lab (or None): (ctx, index, const,
+    table, extra) flat over label pairs in (s, t) order (labels for
+    DIAG_DELTA), const = alpha(s) + beta(t) + u(s) . lbar(t).  In double
+    precision table is each pair's value, from one _gaussian_1d call (q
+    and the interval as columns) on each distinct (term, coordinate, b_k)
+    by its bits and one exp, and extra whether all are finite; in mpmath
+    (one work) table is b_v per coordinate and extra the 1D factor memo.
+    Products follow CPython's complex arithmetic, one rounding per real
+    operation, so no bit depends on a batch."""
+    n, cell = len(works), works[0].cell
+    pieces = _label_pieces(works, _label_vectors(works[0].code, index) if lab is None else lab)
+    if works[0].restricted[3] is None:
+        const, bv = pieces[1], np.moveaxis(pieces[0], 2, 0)
+    else:
+        a, b, om_l, alpha, beta, u, lt = pieces
+        jl = np.array([w.restricted[2] for w in works])
+        const = alpha[:, :, None] + beta[:, None]
+        for x, y in zip(np.moveaxis(u, 2, 0)[..., None], lt[0].T):  # x * y with y a float promoted to complex
+            const = const + _complex(x.real * y - x.imag * 0.0, x.real * 0.0 + x.imag * y)
+        bv = np.empty((jl.shape[1], *const.shape), complex)
+        for k, om_k in enumerate(om_l[0].T):  # a(s) + b(t) + (J^T L)_k + i pi (Om lbar(s) - Om lbar(t))_k
+            bv[k] = a[:, :, k, None] + b[:, None, :, k] + jl[:, k, None, None] + _IPI * (om_k[:, None] - om_k)
+    const, bv = const.reshape(n, -1), bv.reshape(len(bv), n, -1)
+    if ctx is not None:  # one work, whose box_value takes each 1D factor's arguments from b_v
+        works[0].box = ctx, index, const[0], bv[:, 0], {}
+        return
+    q = np.array([-w.box_diag[k] for k in range(len(bv)) for w in works])
+    lo, hi = np.repeat(cell.intervals, n, axis=0).T
+    first, inverse = _distinct(bv.reshape(len(q), -1))
+    row = first // bv.shape[2]
+    ex, pf = (f[inverse].reshape(bv.shape) for f in _gaussian_1d(q[row], bv.ravel()[first], lo[row], hi[row]))
+    amp = np.array([complex(w.kernel.amp) for w in works])[:, None]
+    exponent, re, im = const, amp.real, amp.imag
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite raises when read
+        for e_k, p_k in zip(ex, pf):
+            exponent = exponent + e_k
+            re, im = re * p_k.real - im * p_k.imag, re * p_k.imag + im * p_k.real
+        e = np.exp(exponent)
+        value = _complex(re * e.real - im * e.imag, re * e.imag + im * e.real)
+    value[exponent.real < -745.0] = 0  # underflows double precision
+    for work, c, v, finite in zip(works, const, value.tolist(), np.isfinite(value).all(axis=1).tolist()):
+        work.box = None, index, c, v, finite
+
+
 # The _TermWork of the kernel term that window_coefficients is integrating;
 # unset outside that call, so nothing outlives it.
 _TERM_WORK: contextvars.ContextVar[_TermWork] = contextvars.ContextVar("_TERM_WORK")
@@ -434,13 +479,12 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     Requires the diagonal-restricted quadratic form to be axis-diagonal (true
     for every isotropic single-mode kernel family here).  Delta-constrained
     kernels follow their density conventions: DIAG_DELTA contributes only for
-    lbar(s) = lbar(t), POINT only when the point falls in the cell.  Inside
-    window_coefficients a double-precision call reads its element of the
-    term's table (_TermWork.box_value), and an mpmath call its const and 1D
-    factor arguments; on its own the call primes its two labels and builds
-    the same table for them, so it stays the per-pair oracle.  A value that
-    is not finite raises OverflowError; one whose exponent lies below -745
-    underflows double precision and reads as 0.
+    lbar(s) = lbar(t), POINT only when the point falls in the cell.  The call
+    looks up its term's work and reads its element (_TermWork.box_value):
+    inside window_coefficients from the table built for the term's block, on
+    its own from the same builder run on its term and two labels, so it
+    stays the per-pair oracle.  A value that is not finite raises
+    OverflowError; one whose exponent lies below -745 reads as 0.
     """
     scalar = complex if ctx is None else ctx.mpc
     if kernel.kind == POINT:
@@ -656,29 +700,29 @@ def _decay_precheck(cf: ChannelCharFn, code: GkpCode, s_max: int):
     r = max(16, 4 * (s_max + 1))
     two_n = 2 * code.n_modes
     zero = np.zeros(two_n)
-
-    def probe(u, v, diagonal):
-        # POINT kernels sit at the origin; DIAG_DELTA kernels live on u = v only
-        return sum(abs(w * k.evaluate(u, v)) for w, k in cf.terms
-                   if k.kind != POINT and (diagonal or k.kind != DIAG_DELTA))
-
-    ref = max(probe(zero, zero, True), probe(zero, zero, False), 1e-300)
-    worst = 0.0
-    worst_shell = None
-    for j in range(two_n):
-        for sign in (+1, -1):
-            s = np.zeros(two_n, dtype=np.int64)
-            s[j] = sign * r
-            ls = code.dual_vector(s)
-            for val, tag in ((probe(ls, zero, False), "off-diagonal"),
-                             (probe(ls, ls, True), "diagonal")):
-                rel = val / ref
-                if rel > worst:
-                    worst, worst_shell = rel, (tuple(s.tolist()), tag)
-    if worst > DECAY_THRESHOLD:
+    # (u, v, on the diagonal): the origin twice, then each shell point off the diagonal and on it
+    probes, shells = [(zero, zero, True), (zero, zero, False)], []
+    for s in itertools.chain.from_iterable((r * e, -r * e) for e in np.eye(two_n, dtype=np.int64)):
+        ls = code.dual_vector(s)
+        probes += [(ls, zero, False), (ls, ls, True)]
+        shells += [(tuple(s.tolist()), tag) for tag in ("off-diagonal", "diagonal")]
+    u, v, diagonal = (np.array(x) for x in zip(*probes))
+    # sum_k |w_k amp_k exp(x^T Q_k x + L_k^T x)| at every probe as one array, x = (u, v), where a
+    # density's Q_k and L_k fill the u block; POINT kernels sit at the origin, DIAG_DELTA ones on u = v
+    terms = [(w, k) for w, k in cf.terms if k.kind != POINT]
+    q, lin = np.zeros((len(terms), 2 * two_n, 2 * two_n), complex), np.zeros((len(terms), 2 * two_n), complex)
+    for i, (_, k) in enumerate(terms):
+        q[i, :len(k.linear), :len(k.linear)], lin[i, :len(k.linear)] = k.q_matrix, k.linear
+    x, amp = np.hstack([u, v]), np.array([w * k.amp for w, k in terms], complex)[:, None]
+    modulus = np.abs(amp * np.exp(np.sum(x @ q * x, axis=-1) + lin @ x.T))
+    keep = diagonal | np.array([k.kind != DIAG_DELTA for _, k in terms], bool)[:, None]
+    total = np.where(keep, modulus, 0.0).sum(axis=0)
+    rel = total[2:] / max(total[0], total[1], 1e-300)
+    at = int(np.argmax(rel))
+    if rel[at] > DECAY_THRESHOLD:
         raise DecayViolationError(
-            f"characteristic function does not decay: relative modulus {worst:.3e} on the "
-            f"{worst_shell[1]} shell s = {worst_shell[0]} exceeds {DECAY_THRESHOLD:.1e}"
+            f"characteristic function does not decay: relative modulus {rel[at]:.3e} on the "
+            f"{shells[at][1]} shell s = {shells[at][0]} exceeds {DECAY_THRESHOLD:.1e}"
         )
 
 
@@ -704,11 +748,13 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     DIAG_DELTA kernel on s = t.
 
     Every (pair, term) makes one box_cell_integral or numeric_cell_integral
-    call, with the same bits as a call on its own; each term's _TermWork, its
-    labels primed in one batch and its box table built on the first pair, is
-    held in _TERM_WORK for that term only and dropped when the call returns
-    or raises.  Each pair sums its terms in order, over per-term lists in
-    pair order; quad_err adds up in the same pair order.
+    call, with the same bits as a call on its own.  Each term's _TermWork is
+    held in _TERM_WORK for that term only; on a box cell its first pair
+    builds the tables of its block of terms (_box_tables, the labels' lbar
+    computed once per window), and a term's table is dropped when it is
+    done.  Each pair sums its terms in order, in arrays over the pairs in
+    CPython's complex arithmetic spelt in real operations (lists in
+    mpmath); quad_err adds up in pair order.
     """
     window = trunc.window(2 * code.n_modes)
     use_box = isinstance(cell, BoxCell)
@@ -718,26 +764,35 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
             raise ValueError("mpmath precision integrates box cells only")
         ctx = mp.MPContext()
         ctx.dps = dps
-    scalar = complex if ctx is None else ctx.mpc
     pairs = list(itertools.product(window, window))
-    acc = [scalar(0.0)] * len(pairs)
-    fold = {s: _fold(code.dims, s)[0] for s in window}
-    on_diagonal = [fold[s] == fold[t] != 0 for s, t in pairs]
+    if not use_box:  # where a quadrature error counts
+        fold = {s: _fold(code.dims, s)[0] for s in window}
+        on_diagonal = [fold[s] == fold[t] != 0 for s, t in pairs]
     diagonal = [i for i, (s, t) in enumerate(pairs) if s == t]  # where a DIAG_DELTA term lives
+    labels = dict(zip(window, itertools.count()))
+    lab = _label_vectors(code, window) if use_box else None
+    works, block = [], []
+    for _, kern in cf.terms:  # blocks of consecutive terms of one kind
+        work = _TermWork(kern, code, cell)
+        elements = len(pairs) if kern.kind == FULL else len(window)
+        if block and (kern.kind != block[0].kernel.kind or (len(block) + 1) * elements > BOX_BLOCK):
+            block = []
+        block.append(work)
+        work.window, work.lab, work.block = labels, lab, block
+        works.append(work)
+    re = im = np.zeros(len(pairs))
+    acc = [ctx.mpc(0.0)] * len(pairs) if ctx is not None else None
     underflowed = 0
     quad_err = 0.0
     token = _TERM_WORK.set(None)
     try:
-        for w, kern in cf.terms:
-            # one term's shared work at a time keeps it small for the 64-term
-            # dephasing kernel; each pair still sums its terms in order
-            work = _TermWork(kern, code, cell)
-            if kern.kind != POINT:
+        for (w, kern), work in zip(cf.terms, works):
+            if kern.kind != POINT and not use_box:
                 work.prime(window)
-                work.window = window
             _TERM_WORK.set(work)
             if use_box:
                 vals = [box_cell_integral(kern, code, cell, s, t, ctx) for s, t in pairs]
+                work.box = None  # the rest of its block keep theirs
             else:
                 vals, errs = zip(*[numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
                                    for s, t in pairs])
@@ -748,10 +803,17 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                 underflowed += vals.count(0)
             elif kern.kind == DIAG_DELTA:
                 underflowed += [vals[i] for i in diagonal].count(0)
-            sw = scalar(w)
-            acc = [a + sw * v for a, v in zip(acc, vals)]
+            if ctx is None:  # acc + w v as CPython adds it up, one rounding per real operation
+                v, w = np.array(vals, complex), complex(w)
+                re, im = re + (w.real * v.real - w.imag * v.imag), im + (w.real * v.imag + w.imag * v.real)
+            else:
+                sw = ctx.mpc(w)
+                acc = [a + sw * v for a, v in zip(acc, vals)]
     finally:
         _TERM_WORK.reset(token)
+        for work in works:  # leave no work in a reference cycle with its block
+            work.block = None
+    acc = acc if ctx is not None else _complex(re, im).tolist()
     return dict(zip(pairs, acc)), {"underflowed": underflowed, "quad_err": quad_err}
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from scipy.special import erf as _scipy_erf
 
 from gkpsim.charfun import (
     DIAG_DELTA,
+    POINT,
     ChannelCharFn,
     GaussianKernel,
     compose,
@@ -454,6 +456,132 @@ def test_mpmath_box_values_read_const_from_the_shared_table():
     assert not hasattr(logical._TermWork, "_const") and not hasattr(logical._TermWork, "box_form")
 
 
+def _recorded_box_window(monkeypatch, cf, s_max):
+    """window_coefficients on the square box, with (term index, s, t, value)
+    of every box_cell_integral call and the number of terms of each block
+    whose tables were built together: (coefficients, calls, blocks)."""
+    calls, blocks = [], []
+    box, tables = logical.box_cell_integral, logical._box_tables
+    term = {id(kernel): i for i, (_, kernel) in enumerate(cf.terms)}
+
+    def recorded(kernel, code, cell, s, t, ctx=None):
+        value = box(kernel, code, cell, s, t, ctx)
+        calls.append((term[id(kernel)], s, t, value))
+        return value
+
+    def counted(works, *args):
+        blocks.append(len(works))
+        return tables(works, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(logical, "box_cell_integral", recorded)
+        patch.setattr(logical, "_box_tables", counted)
+        coeffs, _ = window_coefficients(SQ, CELL, cf, TruncationSpec(s_max))
+    return coeffs, calls, blocks
+
+
+@pytest.mark.parametrize("cf, terms", [
+    (dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=64), (0, 31, 63)),
+    (compose(loss_charfun(0.01), dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=10)), (0, 4, 9)),
+], ids=["dephasing64", "loss-dephasing10"])
+@pytest.mark.parametrize("s_max, stride", [(2, 5), (3, 19)])
+def test_window_box_values_of_many_blocks_are_bit_identical_to_lone_calls(monkeypatch, cf, terms,
+                                                                         s_max, stride):
+    # the window's terms build their tables in several blocks (at S 2 the
+    # last one short), and both the window and the lone calls take the
+    # Faddeeva endpoint form; every sampled (pair, term) value and every
+    # pair's sum over the terms has the bits of the per-pair computation
+    wofz, endpoint = logical.scipy.special.wofz, []
+
+    def counted(z):
+        endpoint.append(z.size)
+        return wofz(z)
+
+    monkeypatch.setattr(logical.scipy.special, "wofz", counted)
+    got, calls, blocks = _recorded_box_window(monkeypatch, cf, s_max)
+    pairs = len(TruncationSpec(s_max).window(2)) ** 2
+    assert len(calls) == len(cf.terms) * pairs and sum(blocks) == len(cf.terms) and len(blocks) > 1
+    assert max(blocks) * pairs <= max(logical.BOX_BLOCK, pairs) and (s_max == 3 or blocks[-1] < blocks[0])
+    assert endpoint
+    expect = {}
+    for i, s, t, value in calls:  # as the per-pair loop adds them up
+        expect[(s, t)] = expect.get((s, t), 0j) + complex(cf.terms[i][0]) * value
+    assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
+    endpoint.clear()
+    sample = [(i, s, t, value) for i, s, t, value in calls[::stride] if i in terms]
+    assert {i for i, *_ in sample} == set(terms)
+    for i, s, t, value in sample:
+        assert repr(box_cell_integral(cf.terms[i][1], SQ, CELL, s, t)) == repr(value)
+    assert endpoint
+
+
+@pytest.mark.parametrize("cf", [
+    dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=16),
+    compose(loss_charfun(0.01), envelope_charfun(10 ** (-10 / 20))),
+    random_displacement_charfun(0.25),
+], ids=["dephasing16", "loss", "diag-delta"])
+def test_float_window_computes_each_distinct_1d_factor_once(monkeypatch, cf):
+    # each (pair, term) needs one factor per coordinate k, that of b_k; the
+    # tables compute each distinct (term, k, b_k) once, by the bits of b_k,
+    # in one _gaussian_1d call per block, and a lone call its own two
+    window = TruncationSpec(2).window(2)
+    requests = []
+    for i, (_, kernel) in enumerate(cf.terms):
+        work = logical._TermWork(kernel, SQ, CELL)
+        for s in window:
+            for t in window if kernel.kind != DIAG_DELTA else [s]:
+                requests += [(i, k, np.complex128(b).tobytes()) for k, b in enumerate(work.form(s, t)[0])]
+    window_call = lambda: window_coefficients(SQ, CELL, cf, TruncationSpec(2))  # noqa: E731
+    _, elements = _counted_y_factors(monkeypatch, window_call)
+    assert sum(elements) == len(set(requests)) < len(requests) / 2
+    per_term = len(requests) // (2 * len(cf.terms))  # pairs (labels for DIAG_DELTA) of one term
+    assert len(elements) == -(-len(cf.terms) // max(1, logical.BOX_BLOCK // per_term))  # one call per block
+    lone_call = lambda: box_cell_integral(cf.terms[-1][1], SQ, CELL, (1, -2), (1, -2))  # noqa: E731
+    _, elements = _counted_y_factors(monkeypatch, lone_call)
+    assert elements == [2]
+
+
+def test_distinct_factor_arguments_by_row_and_bits():
+    # rows (term, coordinate) never share a factor, even where the largest
+    # value of one row is the smallest of the next, and 0.0 and -0.0 stay apart
+    x = np.array([[1 + 1j, 2 + 1j, 1 + 1j, 0j],
+                  [2 + 1j, 3 + 1j, 3 + 1j, 2 + 1j],
+                  [complex(-0.0, 0), 0j, complex(0, -0.0), 0j]])
+    first, inverse = logical._distinct(x)
+    keys = {(r, v.tobytes()) for r, row in enumerate(x) for v in row}
+    assert len(first) == len(keys) == 8
+    assert {(r, x[r, c].tobytes()) for r, c in zip(*np.divmod(first, x.shape[1]))} == keys
+    assert x.ravel()[first][inverse].tobytes() == x.tobytes()
+
+
+def test_box_term_that_overflows_in_the_middle_of_a_block_raises_alone_and_in_the_window(monkeypatch):
+    # exp(b^2/4q) with b = 30, q = 0.02 is e^11250 for the middle term only;
+    # the three terms share one block, and only a read of the middle term's
+    # elements raises
+    fine = envelope_charfun(10 ** (-10 / 20)).terms[0][1]
+    bad = GaussianKernel(1, 1 + 0j, -0.01 * np.eye(4), np.array([30.0, 0, 0, 0]))
+    cf = ChannelCharFn(1, [(0.5 + 0j, fine), (0.25 + 0j, bad), (0.25 + 0j, fine)])
+    box, tables = logical.box_cell_integral, logical._box_tables
+    reads, blocks = [], []
+
+    def read(kernel, *args):
+        reads.append(kernel)
+        return box(kernel, *args)
+
+    def built(works, *args):
+        blocks.append(len(works))
+        return tables(works, *args)
+
+    monkeypatch.setattr(logical, "box_cell_integral", read)
+    monkeypatch.setattr(logical, "_box_tables", built)
+    with pytest.raises(OverflowError, match="overflows double precision"):
+        window_coefficients(SQ, CELL, cf, TruncationSpec(1))
+    assert blocks == [3] and len(reads) == 82 and all(k is fine for k in reads[:81]) and reads[81] is bad
+    with pytest.raises(OverflowError, match="overflows double precision"):
+        box(bad, SQ, CELL, (0, 0), (0, 0))
+    assert np.isfinite(box(fine, SQ, CELL, (0, 0), (0, 0)))
+
+
 # ---------------------------------------------------------------------------
 # the per-label pieces of a pair's exponent
 
@@ -687,6 +815,50 @@ def test_identity_channel_gives_identity_superop():
 def test_loss_on_ideal_codestate_raises():
     with pytest.raises(DecayViolationError, match="diagonal"):
         logical_channel(SQ, CELL, loss_charfun(0.05), TruncationSpec(1))
+
+
+def _precheck_oracle(cf, code, s_max):
+    """(worst relative modulus, shell s, tag) of the decay precheck, from
+    GaussianKernel.evaluate called per term and probe."""
+    r = max(16, 4 * (s_max + 1))
+    zero = np.zeros(2 * code.n_modes)
+
+    def probe(u, v, diagonal):
+        return sum(abs(w * k.evaluate(u, v)) for w, k in cf.terms
+                   if k.kind != POINT and (diagonal or k.kind != DIAG_DELTA))
+
+    ref = max(probe(zero, zero, True), probe(zero, zero, False), 1e-300)
+    worst = (0.0, None, None)
+    for j in range(len(zero)):
+        for sign in (+1, -1):
+            s = np.zeros(len(zero), dtype=np.int64)
+            s[j] = sign * r
+            ls = code.dual_vector(s)
+            for val, tag in ((probe(ls, zero, False), "off-diagonal"), (probe(ls, ls, True), "diagonal")):
+                if val / ref > worst[0]:
+                    worst = (val / ref, tuple(s.tolist()), tag)
+    return worst
+
+
+@pytest.mark.parametrize("cf, s_max", [
+    (dephased_envelope_charfun(np.sqrt(0.02), 10 ** (-12 / 20)), 1),
+    (dephased_envelope_charfun(np.sqrt(0.01), 10 ** (-10 / 20)), 1),
+    (loss_charfun(0.05), 1),
+    (random_displacement_charfun(10.0), 1),
+    (compose(loss_charfun(0.01), envelope_charfun(10 ** (-10 / 20))), 5),
+    (ChannelCharFn(1, random_displacement_charfun(0.25).terms + identity_charfun(1).terms
+                   + envelope_charfun(0.5).terms), 1),
+], ids=["dephasing-refused", "dephasing", "loss-refused", "displacement-refused", "loss", "mixed-kinds"])
+def test_decay_precheck_evaluates_every_term_at_once(cf, s_max):
+    # all terms at every probe as one array: the same verdict, shell and
+    # relative modulus as evaluating each term at each probe
+    worst, shell, tag = _precheck_oracle(cf, SQ, s_max)
+    if worst <= logical.DECAY_THRESHOLD:
+        logical._decay_precheck(cf, SQ, s_max)
+        return
+    with pytest.raises(DecayViolationError, match=f"on the {tag} shell s = {re.escape(str(shell))} ") as err:
+        logical._decay_precheck(cf, SQ, s_max)
+    assert float(str(err.value).split("modulus ")[1].split()[0]) == pytest.approx(worst, rel=2e-3)
 
 
 def test_displacement_on_ideal_codestate_allowed():
