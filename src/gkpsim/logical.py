@@ -10,19 +10,21 @@ cell's a slab rule, Gauss-Legendre in x with one factor in y at each x node
 of the polygon's vertical slabs.
 Only b_v and const of the restricted exponent change from one (s, t) pair
 to the next, and both are affine in each label, so window_coefficients
-computes the rest of each kernel term once (_TermWork): the restricted form
-and its checks, the slab rules, and the pieces of b_v and const that depend
-on one label only.  On a box cell the integrals of every label pair are
-tables built for a block of consecutive terms at once (_box_tables): const
-from outer sums of the pieces, one _gaussian_1d call on each distinct
-(term, coordinate, b_k), one exp; a pair reads its element.  A slab rule's
-y factors depend on a pair only through b_1, so each distinct b_1 gets one
-row of factors over the nodes, and the integrands of every pair (s, t) with
-one label s are built as one batch of elementwise operations; a pair then
-sums its own row over the nodes.  Each (pair, term) still makes one
-box_cell_integral or numeric_cell_integral call, and such a call on its own
-builds the same table for just its term and two labels (the same row for
-just its pair, for a slab y factor), with the same bits.
+computes the rest of each kernel term once (_TermWork), and the restricted
+forms and box checks of the terms of one kind as stacks (_restricted).  On
+a box cell the square code's symmetries make many (term, pair) values
+equal or conjugate: sign flips of the dual coordinates, with the term map
+that goes with each (p -> -p takes the dephasing node phi onto -phi), and
+the Hermitian swap c_{t,s} = conj(c_{s,t}).  Where such a map has the bits of a
+direct computation (_maps), one representative per orbit is computed
+(_orbits), in blocks of terms with one _gaussian_1d call on each distinct
+(term, coordinate, b_k) and one exp, and every other value is read as its
+image (_BoxTables).  A slab rule's y factors depend on a pair only through
+b_1, so each distinct b_1 gets one row of factors over the nodes, and the
+integrands of every pair (s, t) with one label s are built as one batch.
+Each (pair, term) still makes one box_cell_integral or
+numeric_cell_integral call; on its own such a call computes its term over
+its two labels, with no map, and has the same bits.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
 
@@ -187,14 +189,40 @@ def _label_vectors(code: GkpCode, labels):
     return np.array([basis @ np.asarray(s, dtype=float) for s in labels])
 
 
-def _label_pieces(works, lab):
-    """_TermWork's pieces of each row lbar of lab for the works (terms of one
-    kind), as arrays with a term axis: (a, b, Om lbar, alpha, beta, u, lbar)
-    for FULL, Om lbar and lbar with a term axis of 1, or (b_v, const)."""
-    om = works[0].restricted[3]
-    two_jq = np.array([w.restricted[1] for w in works])
-    q = np.array([w.kernel.q_matrix for w in works])
-    lin = np.array([w.kernel.linear for w in works])[:, None]
+def _restricted(kernels):
+    """(Q, L, Q_v, 2 J^T Q, J^T L, omega(n)) stacked over kernel terms of one
+    kind, with J = (1, 1)^T restricting to u = v (the identity for
+    DIAG_DELTA, omega None): block sums, Q_v = (Q_uu + Q_vu) + (Q_uv + Q_vv),
+    with the bits of J^T Q J, (2 J^T) Q and J^T L up to the sign of a zero."""
+    kind = kernels[0].kind
+    if kind not in (FULL, DIAG_DELTA):
+        raise ValueError(f"cannot cell-integrate a kernel of kind {kind}")
+    q, lin = np.array([k.q_matrix for k in kernels]), np.array([k.linear for k in kernels])
+    if kind == DIAG_DELTA:
+        return q, lin, q, 2 * q, lin, None
+    h = q.shape[1] // 2
+    left, right = q[:, :h, :h] + q[:, h:, :h], q[:, :h, h:] + q[:, h:, h:]
+    return q, lin, left + right, 2 * np.concatenate([left, right], axis=2), lin[:, :h] + lin[:, h:], omega(h // 2)
+
+
+def _box_diag(qv):
+    """The diagonals of a stack of Q_v, each of which must be all of its Q_v
+    and decay on every axis."""
+    diag, off = np.diagonal(qv, axis1=1, axis2=2), ~np.eye(qv.shape[1], dtype=bool)
+    if np.any(np.abs(qv[:, off]).max(axis=1, initial=0.0) > 1e-10 * np.maximum(1.0, np.abs(qv).max(axis=(1, 2)))):
+        raise ValueError("diagonal-restricted form is not axis-aligned; use numeric_cell_integral")
+    if np.any(diag.real >= 0):
+        raise ValueError("diagonal-restricted form is not decaying; cell integral diverges")
+    return diag
+
+
+def _label_pieces(forms, lab):
+    """_TermWork's pieces of each row lbar of lab for the terms of a
+    _restricted stack, as arrays with a term axis: (a, b, Om lbar, alpha,
+    beta, u, lbar) for FULL, Om lbar and lbar with a term axis of 1, or
+    (b_v, const)."""
+    q, lin, _, two_jq, _, om = forms
+    lin = lin[:, None]
     if om is None:
         return _each(two_jq, lab) + lin, _rowdot(_each(q, lab) + lin, lab)
     h = lab.shape[1]
@@ -204,17 +232,32 @@ def _label_pieces(works, lab):
             _each((q[:, :h, h:] + q[:, h:, :h].swapaxes(1, 2)).swapaxes(1, 2), lab), lab[None])
 
 
+def _pair_forms(forms, lab, k, i, j):
+    """(const, b_v) of the box elements (term k, s_i, t_j) of a _restricted
+    stack (i = j for DIAG_DELTA), lbar the rows of lab: _TermWork's sums of
+    the label pieces, elementwise, b_v with its coordinate axis first and
+    u(s) . lbar(t) as CPython multiplies a complex and a float."""
+    pieces = _label_pieces(forms, lab)
+    if forms[5] is None:
+        return pieces[1][k, i], np.moveaxis(pieces[0][k, i], -1, 0)
+    a, b, om, alpha, beta, u, lt = pieces
+    const = alpha[k, i] + beta[k, j]
+    for c in range(lab.shape[1]):
+        x, y = u[k, i, c], lt[0, j, c]
+        const = const + _complex(x.real * y - x.imag * 0.0, x.real * 0.0 + x.imag * y)
+    return const, np.array([a[k, i, c] + b[k, j, c] + forms[4][k, c] + _IPI * (om[0, i, c] - om[0, j, c])
+                            for c in range(lab.shape[1])])
+
+
 class _TermWork:
     """What the cell integrals of one kernel term on one code and cell share
-    over every (s, t) pair: the restricted quadratic form, its checked box
-    diagonal, the box table (_box_tables, built by the first pair that needs
-    it: for the works of its block over the window labels that
-    window_coefficients gives, or for this term over a lone pair's labels),
-    each slab rule with the pair-independent parts of its exponent, the
-    per-label pieces of a slab exponent (for a whole window at once by
-    prime), and per slab rule a table of y factors, one row of nodes per
-    distinct b_1, with the integrands of the latest row of pairs, which runs
-    over the window's labels (a work without them builds one pair).
+    over every (s, t) pair: its restricted form and box diagonal, its box
+    table (from the window's _BoxTables when the first pair reads it, or
+    over a lone pair's labels), each slab rule with the pair-independent
+    parts of its exponent, the per-label pieces of a slab exponent (for a
+    whole window by prime), and per slab rule a table of y factors, one row
+    of nodes per distinct b_1, with the integrands of the latest row of
+    pairs, which runs over the window's labels (or just one pair).
 
     FULL: with lbar = lbar(s) and J = (1, 1)^T, the exponent of
     c_{s,t}(v, v) = c(v + lbar(s), v + lbar(t)) e^{i pi v^T Om (lbar(s) - lbar(t))}
@@ -230,33 +273,31 @@ class _TermWork:
 
     def __init__(self, kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell):
         self.kernel, self.code, self.cell = kernel, code, cell
-        self.window, self.lab, self.block = {}, None, None  # label -> position, lbar as rows, the block
+        self.window, self.lab, self.tables = {}, None, None  # label -> position, lbar as rows, (_BoxTables, term)
         self.pieces = {}  # tuple(s) -> the pieces of lbar(s)
-        self.box = None  # (ctx, label -> position, const, values or b_v, all finite or 1D factor memo)
+        self.box = None  # (None, label -> position, values, all finite) or (ctx, label -> position, const, b_v, memo)
+        self.images = 0  # elements of the box table read as images of others
         self.rules = {}  # order -> the slab rules of orders n and n + n // 2
         self.y_factors = {}  # order -> {exact bits of b_1: (exponent, prefactor) at the nodes}
         self.row = None  # ((order, s), label t -> position, the integrand of each pair (s, t))
 
     @functools.cached_property
+    def forms(self):
+        """_restricted of this term alone."""
+        return _restricted([self.kernel])
+
+    @functools.cached_property
     def restricted(self):
         """(Q_v, 2 J^T Q, J^T L as a list, omega(n)), with J = (1, 1)^T the
         restriction to u = v; J is the identity for DIAG_DELTA (omega None)."""
-        kernel = self.kernel
-        if kernel.kind == DIAG_DELTA:
-            q = kernel.q_matrix
-            return q, 2 * q, kernel.linear.tolist(), None
-        if kernel.kind != FULL:
-            raise ValueError(f"cannot cell-integrate a kernel of kind {kernel.kind}")
-        n = kernel.n_modes
-        j = np.vstack([np.eye(2 * n), np.eye(2 * n)])
-        qv = j.T @ kernel.q_matrix @ j
-        return qv, 2 * j.T @ kernel.q_matrix, (j.T @ kernel.linear).tolist(), omega(n)
+        _, _, qv, two_jq, jl, om = self.forms
+        return qv[0], two_jq[0], jl[0].tolist(), om
 
     def prime(self, labels):
         """Compute the pieces of every label not seen yet, as one batch."""
         new = list(dict.fromkeys(s for s in map(tuple, labels) if s not in self.pieces))
         if new:
-            pieces = _label_pieces([self], _label_vectors(self.code, new))
+            pieces = _label_pieces(self.forms, _label_vectors(self.code, new))
             self.pieces.update(zip(new, zip(*(p[0].tolist() for p in pieces))))
 
     def form(self, s, t):
@@ -273,52 +314,51 @@ class _TermWork:
     def box_value(self, s, t, ctx):
         """The integral of c_{s,t}(v, v) over the box, or None where it
         vanishes: in double precision (ctx None) an element of the term's
-        table, which raises OverflowError where it is not finite; in the
-        mpmath context ctx from the table's const and one 1D factor per
-        coordinate, each distinct one computed once."""
+        table (from the window's _BoxTables, or from one over a lone pair's
+        labels), which raises OverflowError where it is not finite; in the
+        mpmath context ctx from this term's const and b_v (_pair_forms) and
+        one 1D factor per coordinate, each distinct one computed once."""
         s, t = tuple(s), tuple(t)
         box = self.box
         index = box[1] if box is not None and box[0] is ctx else {}
         i, j = index.get(s), index.get(t)
+        full = self.kernel.kind == FULL
         if i is None or j is None:
-            if s in self.window and t in self.window:  # the block's tables, or this term's in mpmath
-                index, lab = self.window, self.lab
-                works = self.block if ctx is None and self.block else [self]
-            else:  # a lone pair
-                index, lab, works = dict(zip(dict.fromkeys((s, t)), itertools.count())), None, [self]
-            _box_tables(works, index, lab, ctx)
+            window = s in self.window and t in self.window
+            index = self.window if window else dict(zip(dict.fromkeys((s, t)), itertools.count()))
+            if ctx is not None:
+                lab = self.lab if window else _label_vectors(self.code, index)
+                i, j = np.divmod(np.arange(len(index) ** 2), len(index)) if full else (np.arange(len(index)),) * 2
+                self.box = ctx, index, *_pair_forms(self.forms, lab, np.zeros_like(i), i, j), {}
+            else:
+                tables, k = self.tables if window and self.tables else (_BoxTables([self], index, None, None), 0)
+                table, finite, self.images = tables.table(k)
+                self.box = None, index, table, finite
             box, i, j = self.box, index[s], index[t]
-        _, _, const, table, extra = box
-        if self.restricted[3] is not None:
+        if full:
             at = i * len(index) + j
         elif s == t:
             at = i
         else:
             return None
         if ctx is None:
-            value = table[at]
-            if not (extra or cmath.isfinite(value)):
+            value = box[2][at]
+            if not (box[3] or cmath.isfinite(value)):
                 raise OverflowError(f"box integral of pair {s}, {t} overflows double precision")
             return value
+        _, _, const, bv, memo = box
         exponent, pref = ctx.mpc(const.item(at)), ctx.mpc(self.kernel.amp)
-        for q, x, (lo, hi) in zip(self.box_diag, table, self.cell.intervals):
+        for q, x, (lo, hi) in zip(self.box_diag, bv, self.cell.intervals):
             key = -q, x.item(at), lo, hi
-            if key not in extra:
-                extra[key] = _gaussian_1d_mp(ctx, *key)
-            exponent, pref = exponent + extra[key][0], pref * extra[key][1]
+            if key not in memo:
+                memo[key] = _gaussian_1d_mp(ctx, *key)
+            exponent, pref = exponent + memo[key][0], pref * memo[key][1]
         return pref * ctx.exp(exponent)
 
     @functools.cached_property
     def box_diag(self):
         """The diagonal of Q_v, which must be all of it and decay on every axis."""
-        qv = self.restricted[0]
-        scale = max(1.0, float(np.max(np.abs(qv))))
-        if np.max(np.abs(qv - np.diag(np.diag(qv)))) > 1e-10 * scale:
-            raise ValueError("diagonal-restricted form is not axis-aligned; use numeric_cell_integral")
-        diag = np.diag(qv)
-        if np.any(diag.real >= 0):
-            raise ValueError("diagonal-restricted form is not decaying; cell integral diverges")
-        return diag.tolist()
+        return _box_diag(self.forms[2])[0].tolist()
 
     def rule(self, order: int):
         """The slab rules of orders n = order and n + n // 2 on one set of x
@@ -392,70 +432,167 @@ class _TermWork:
         return b0, b1, const
 
 
-# A block of consecutive kernel terms of one kind builds its double-precision
-# box tables together, up to BOX_BLOCK (term, pair) elements (or one term)
+# A window's box values are computed in blocks of consecutive kernel terms,
+# up to BOX_BLOCK orbit representatives (or one term)
 BOX_BLOCK = 2048
 
 
 def _distinct(x):
-    """(first, inverse) of the 2D complex array x by row and the exact bits
-    of each value (so 0.0 and -0.0 stay apart): x.flat[first] holds each
-    distinct (row, value) once, and x.flat[first][inverse] is x.flat."""
+    """(first, inverse) of the 2D array x by row and the exact bits of each
+    value (so 0.0 and -0.0 stay apart; a structured value by all of its
+    fields): x.flat[first] holds each distinct (row, value) once, and
+    x.flat[first][inverse] is x.flat."""
     rows, size = x.shape
-    bits = np.ascontiguousarray(x).view(np.uint64).reshape(rows, size, 2)
-    order = (np.lexsort((bits[..., 1], bits[..., 0]), axis=1) + np.arange(0, x.size, size)[:, None]).ravel()
-    ranked = bits.reshape(-1, 2)[order]
-    new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    bits = np.ascontiguousarray(x).view(np.uint64).reshape(rows, size, -1)
+    order = (np.lexsort(np.moveaxis(bits[..., ::-1], 2, 0), axis=1) + np.arange(0, x.size, size)[:, None]).ravel()
+    ranked = bits.reshape(x.size, -1)[order]
+    new = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
     new[::size] = True  # each row starts afresh
     inverse = np.empty(x.size, np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
 
 
-def _box_tables(works, index, lab, ctx):
-    """Give each work of works (terms of one kind) its box table over the
-    labels of index, lbar the rows of lab (or None): (ctx, index, const,
-    table, extra) flat over label pairs in (s, t) order (labels for
-    DIAG_DELTA), const = alpha(s) + beta(t) + u(s) . lbar(t).  In double
-    precision table is each pair's value, from one _gaussian_1d call (q
-    and the interval as columns) on each distinct (term, coordinate, b_k)
-    by its bits and one exp, and extra whether all are finite; in mpmath
-    (one work) table is b_v per coordinate and extra the 1D factor memo.
-    Products follow CPython's complex arithmetic, one rounding per real
-    operation, so no bit depends on a batch."""
-    n, cell = len(works), works[0].cell
-    pieces = _label_pieces(works, _label_vectors(works[0].code, index) if lab is None else lab)
-    if works[0].restricted[3] is None:
-        const, bv = pieces[1], np.moveaxis(pieces[0], 2, 0)
-    else:
-        a, b, om_l, alpha, beta, u, lt = pieces
-        jl = np.array([w.restricted[2] for w in works])
-        const = alpha[:, :, None] + beta[:, None]
-        for x, y in zip(np.moveaxis(u, 2, 0)[..., None], lt[0].T):  # x * y with y a float promoted to complex
-            const = const + _complex(x.real * y - x.imag * 0.0, x.real * 0.0 + x.imag * y)
-        bv = np.empty((jl.shape[1], *const.shape), complex)
-        for k, om_k in enumerate(om_l[0].T):  # a(s) + b(t) + (J^T L)_k + i pi (Om lbar(s) - Om lbar(t))_k
-            bv[k] = a[:, :, k, None] + b[:, None, :, k] + jl[:, k, None, None] + _IPI * (om_k[:, None] - om_k)
-    const, bv = const.reshape(n, -1), bv.reshape(len(bv), n, -1)
-    if ctx is not None:  # one work, whose box_value takes each 1D factor's arguments from b_v
-        works[0].box = ctx, index, const[0], bv[:, 0], {}
-        return
-    q = np.array([-w.box_diag[k] for k in range(len(bv)) for w in works])
-    lo, hi = np.repeat(cell.intervals, n, axis=0).T
-    first, inverse = _distinct(bv.reshape(len(q), -1))
-    row = first // bv.shape[2]
-    ex, pf = (f[inverse].reshape(bv.shape) for f in _gaussian_1d(q[row], bv.ravel()[first], lo[row], hi[row]))
-    amp = np.array([complex(w.kernel.amp) for w in works])[:, None]
-    exponent, re, im = const, amp.real, amp.imag
+def _box_values(q, amp, intervals, k, const, bv):
+    """The double-precision box integrals of a block of elements (term k,
+    const, b_v by coordinate rows; q and amp per term): one _gaussian_1d
+    call on each distinct (coordinate, term, b_c) by its bits, one exp, 0
+    past the -745 exponent cutoff and +0.0 for a zero part, in CPython's
+    complex arithmetic spelt in real operations, so no bit depends on the block."""
+    key = np.empty(bv.shape, [("term", np.intp), ("b", complex)])
+    key["term"], key["b"] = k, bv
+    first, inverse = _distinct(key)
+    c, at = np.divmod(first, bv.shape[1])
+    lo, hi = np.array(intervals).T
+    ex, pf = (f[inverse].reshape(bv.shape) for f in _gaussian_1d(q[k[at], c], bv[c, at], lo[c], hi[c]))
+    exponent, re, im = const, amp[k].real, amp[k].imag
     with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite raises when read
-        for e_k, p_k in zip(ex, pf):
-            exponent = exponent + e_k
-            re, im = re * p_k.real - im * p_k.imag, re * p_k.imag + im * p_k.real
+        for e_c, p_c in zip(ex, pf):
+            exponent = exponent + e_c
+            re, im = re * p_c.real - im * p_c.imag, re * p_c.imag + im * p_c.real
         e = np.exp(exponent)
-        value = _complex(re * e.real - im * e.imag, re * e.imag + im * e.real)
+        value = _complex(re * e.real - im * e.imag + 0.0, re * e.imag + im * e.real + 0.0)
     value[exponent.real < -745.0] = 0  # underflows double precision
-    for work, c, v, finite in zip(works, const, value.tolist(), np.isfinite(value).all(axis=1).tolist()):
-        work.box = None, index, c, v, finite
+    return value
+
+
+@functools.lru_cache(maxsize=16)
+def _maps(basis: tuple, intervals: tuple, data: bytes):
+    """(flips, taus, swaps): the maps of FULL box elements (term k, s, t)
+    whose images have the bits of a direct computation, for the dual basis
+    B (rows), the box's intervals and the terms' (Q, L, amp) as rows of
+    complex data (zeros as +0.0).  A flip f of the dual coordinates,
+    D = diag(f), that commutes with B (lbar(f s) = D lbar(s)), flips
+    intervals [-h, h] only and is symplectic (f_j f_{j+n} = 1 on every mode)
+    or antisymplectic (-1; it conjugates) takes term k at (s, t) to term
+    tau(k) at (f s, f t): the first term with the bits of
+    ((D+D) Q (D+D), (D+D) L, amp), conjugated if antisymplectic, or -1.  The
+    identity comes first.  The swap c_{t,s} = conj(c_{s,t}) holds where
+    Q_uv = Q_vu = 0, Q_vv = conj(Q_uu), L_v = conj(L_u) and amp is real."""
+    basis, (lo, hi) = np.array(basis), np.array(intervals).T
+    h = len(basis)
+    data = np.frombuffer(data, complex).reshape(-1, 4 * h * h + 2 * h + 1)
+    q, lin, amp = data[:, :4 * h * h].reshape(-1, 2 * h, 2 * h), data[:, 4 * h * h:-1], data[:, -1]
+    flips = np.array(list(itertools.product((1.0, -1.0), repeat=h)))  # the identity first
+    mode = flips[:, :h // 2] * flips[:, h // 2:]
+    flips = flips[(mode.min(axis=1) == mode.max(axis=1)) & np.all((flips > 0) | (lo == -hi), axis=1)
+                  & ~np.any((flips[:, :, None] != flips[:, None]) & (basis != 0), axis=(1, 2))]
+
+    def keys(x):
+        return (x + 0j).view(f"V{16 * x.shape[-1]}").ravel().tolist()
+
+    where = {key: k for k, key in reversed(list(enumerate(keys(data))))}
+    d, anti = np.concatenate([flips, flips], axis=1), flips[:, 0] * flips[:, h // 2] < 0
+    image = data * np.concatenate([(d[:, :, None] * d[:, None]).reshape(len(d), -1), d, d[:, :1] ** 2], axis=1)[:, None]
+    image = keys(np.where(anti[:, None, None], image.conj(), image))
+    taus = tuple(tuple(where.get(key, -1) for key in image[i:i + len(q)]) for i in range(0, len(image), len(q)))
+    flips = tuple((tuple(f.astype(int).tolist()), bool(a)) for f, a in zip(flips, anti))
+    swaps = ((q[:, :h, h:] == 0).all(axis=(1, 2)) & (q[:, h:, :h] == 0).all(axis=(1, 2))
+             & (q[:, h:, h:] == q[:, :h, :h].conj()).all(axis=(1, 2))
+             & (lin[:, h:] == lin[:, :h].conj()).all(axis=1) & (amp.imag == 0))
+    return flips, taus, tuple(swaps.tolist())
+
+
+@functools.lru_cache(maxsize=16)
+def _orbits(s_max: int, two_n: int, flips, taus, swaps):
+    """(reps, terms) of the FULL box elements (term k, s, t) of the window,
+    flat at k N^2 + i N + j for labels at positions i and j, under the maps
+    of _maps: reps holds the smallest element of each orbit, increasing, and
+    pair p of term k has the value of reps[offset + at[p]], conjugated where
+    neg[p], for (offset, at, neg) = terms[k].  The arrays are read-only."""
+    side = 2 * s_max + 1
+    grid = np.indices((side,) * two_n).reshape(two_n, -1).T - s_max  # the window's labels, in order
+    n = len(grid)
+    pairs = []  # (pair -> its image, conjugated) of each flip, then of the flip and the swap
+    for f, anti in flips:
+        perm = np.ravel_multi_index((grid * f + s_max).T, (side,) * two_n)
+        pairs += [((perm[:, None] * n + perm).ravel(), anti), ((perm[:, None] + perm * n).ravel(), not anti)]
+    tau = np.repeat(taus, 2, axis=0)
+    tau[1::2, ~np.array(swaps)] = -1
+    low = np.where(tau >= 0, tau, len(swaps)).min(axis=0)  # the smallest term each term maps onto
+    ways = [tuple(np.flatnonzero(tau[:, k] == low[k])) for k in range(len(swaps))]
+    best = {}  # maps -> each pair's smallest image under them, its conjugation and its rank if it is fixed
+    for way in set(ways):
+        images = np.array([pairs[g][0] for g in way])
+        arg = images.argmin(axis=0)
+        image = images[arg, np.arange(n * n)]
+        best[way] = image, np.array([pairs[g][1] for g in way])[arg], np.cumsum(image == np.arange(n * n)) - 1
+    own = np.flatnonzero(low == np.arange(len(swaps)))
+    reps = np.concatenate([k * n * n + np.flatnonzero(best[ways[k]][0] == np.arange(n * n)) for k in own])
+    offset, shared = dict(zip(own, np.searchsorted(reps, own * n * n).tolist())), {}
+    terms = [(offset[low[k]], shared.setdefault((ways[k], ways[low[k]]), best[ways[low[k]]][2][best[ways[k]][0]]),
+              best[ways[k]][1]) for k in range(len(swaps))]
+    for a in [reps, *shared.values(), *(b[1] for b in best.values())]:
+        a.flags.writeable = False
+    return reps, terms
+
+
+class _BoxTables:
+    """The double-precision box tables of kernel terms of one kind (works)
+    over the pairs of the labels of index (lbar the rows of lab, or None).
+    A window's FULL terms (s_max given) compute one element (term, s, t) per
+    orbit (_orbits) and read the rest as exact images; any other element (of
+    DIAG_DELTA terms, or a lone pair's) is computed.  Only the computed
+    values are kept, in blocks of consecutive terms of up to BOX_BLOCK (or
+    one term) made when the block's first term is read."""
+
+    def __init__(self, works, index, lab, s_max):
+        self.works, self.index, self.lab, self.s_max, self.vals = works, index, lab, s_max, None
+
+    def table(self, k):
+        """(values as a list, whether all are finite, how many are images) of term k."""
+        if self.vals is None:  # check every term, then find the orbits
+            kernels, code, cell = [w.kernel for w in self.works], self.works[0].code, self.works[0].cell
+            self.forms = forms = _restricted(kernels)
+            self.q, self.amp = -_box_diag(forms[2]), np.array([complex(k.amp) for k in kernels])
+            self.lab = _label_vectors(code, self.index) if self.lab is None else self.lab
+            self.size = len(self.index) ** (1 if forms[5] is None else 2)  # elements per term
+            if forms[5] is None or self.s_max is None:
+                self.reps, at = np.arange(len(kernels) * self.size), np.arange(self.size)
+                self.terms = [(i * self.size, at, None) for i in range(len(kernels))]
+            else:
+                data = np.concatenate([forms[0].reshape(len(kernels), -1), forms[1], self.amp[:, None]], axis=1)
+                maps = _maps(tuple(map(tuple, code.dual_basis().tolist())), tuple(cell.intervals), (data + 0j).tobytes())
+                self.reps, self.terms = _orbits(self.s_max, self.lab.shape[1], *maps)
+            self.before = np.zeros(len(kernels) + 1, np.intp)  # representatives of the terms before each
+            np.cumsum(np.bincount(self.reps // self.size, minlength=len(kernels)), out=self.before[1:])
+            self.vals, self.done = np.empty(len(self.reps), complex), 0
+        while self.done <= k:  # the next block
+            first, start = self.done, self.before[self.done]
+            self.done = max(first + 1, int(np.searchsorted(self.before, start + BOX_BLOCK, "right")) - 1)
+            stop = self.before[self.done]
+            term, at = np.divmod(self.reps[start:stop], self.size)
+            i, j = (at, at) if self.forms[5] is None else np.divmod(at, len(self.index))
+            forms = tuple(x[first:self.done] for x in self.forms[:5]) + self.forms[5:]
+            if stop > start:
+                self.vals[start:stop] = _box_values(self.q[first:self.done], self.amp[first:self.done],
+                                                    self.works[0].cell.intervals, term - first,
+                                                    *_pair_forms(forms, self.lab, term - first, i, j))
+        offset, at, neg = self.terms[k]
+        v = self.vals[offset + at]
+        if neg is not None and neg.any():  # conjugated images, zeros as +0.0
+            v = _complex(v.real, np.where(neg, -v.imag, v.imag) + 0.0)
+        return v.tolist(), bool(np.isfinite(v).all()), self.size - int(self.before[k + 1] - self.before[k])
 
 
 # The _TermWork of the kernel term that window_coefficients is integrating;
@@ -480,11 +617,11 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     for every isotropic single-mode kernel family here).  Delta-constrained
     kernels follow their density conventions: DIAG_DELTA contributes only for
     lbar(s) = lbar(t), POINT only when the point falls in the cell.  The call
-    looks up its term's work and reads its element (_TermWork.box_value):
-    inside window_coefficients from the table built for the term's block, on
-    its own from the same builder run on its term and two labels, so it
-    stays the per-pair oracle.  A value that is not finite raises
-    OverflowError; one whose exponent lies below -745 reads as 0.
+    reads its element of its term's table (_TermWork.box_value): inside
+    window_coefficients computed or an exact image (_BoxTables), on its own
+    computed for its term over its two labels with no map, so it stays the
+    per-pair oracle.  A value that is not finite raises OverflowError; one
+    whose exponent lies below -745 reads as 0, and a zero part as +0.0.
     """
     scalar = complex if ctx is None else ctx.mpc
     if kernel.kind == POINT:
@@ -749,13 +886,20 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
 
     Every (pair, term) makes one box_cell_integral or numeric_cell_integral
     call, with the same bits as a call on its own.  Each term's _TermWork is
-    held in _TERM_WORK for that term only; on a box cell its first pair
-    builds the tables of its block of terms (_box_tables, the labels' lbar
-    computed once per window), and a term's table is dropped when it is
+    held in _TERM_WORK for that term only.  In double precision on a box
+    cell the terms of each kind share one _BoxTables, which checks them all
+    on the first pair read and computes its orbit representatives block by
+    block as their terms are read; a term's table is dropped when it is
     done.  Each pair sums its terms in order, in arrays over the pairs in
     CPython's complex arithmetic spelt in real operations (lists in
     mpmath); quad_err adds up in pair order.
     """
+    return _coefficients(code, cell, cf, trunc, dps, quad_order)[:2]
+
+
+def _coefficients(code, cell, cf, trunc, dps, quad_order):
+    """window_coefficients, and how many (pair, term) values were computed
+    ("integrals") and read as images of others ("images")."""
     window = trunc.window(2 * code.n_modes)
     use_box = isinstance(cell, BoxCell)
     ctx = None
@@ -771,18 +915,20 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     diagonal = [i for i, (s, t) in enumerate(pairs) if s == t]  # where a DIAG_DELTA term lives
     labels = dict(zip(window, itertools.count()))
     lab = _label_vectors(code, window) if use_box else None
-    works, block = [], []
-    for _, kern in cf.terms:  # blocks of consecutive terms of one kind
+    works, kinds = [], {}
+    for _, kern in cf.terms:
         work = _TermWork(kern, code, cell)
-        elements = len(pairs) if kern.kind == FULL else len(window)
-        if block and (kern.kind != block[0].kernel.kind or (len(block) + 1) * elements > BOX_BLOCK):
-            block = []
-        block.append(work)
-        work.window, work.lab, work.block = labels, lab, block
+        work.window, work.lab = labels, lab
         works.append(work)
+        if use_box and ctx is None and kern.kind != POINT:
+            kinds.setdefault(kern.kind, []).append(work)
+    for group in kinds.values():
+        tables = _BoxTables(group, labels, lab, trunc.s_max)
+        for k, work in enumerate(group):
+            work.tables = tables, k
     re = im = np.zeros(len(pairs))
     acc = [ctx.mpc(0.0)] * len(pairs) if ctx is not None else None
-    underflowed = 0
+    underflowed = images = 0
     quad_err = 0.0
     token = _TERM_WORK.set(None)
     try:
@@ -792,7 +938,8 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
             _TERM_WORK.set(work)
             if use_box:
                 vals = [box_cell_integral(kern, code, cell, s, t, ctx) for s, t in pairs]
-                work.box = None  # the rest of its block keep theirs
+                work.box = None
+                images += work.images
             else:
                 vals, errs = zip(*[numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
                                    for s, t in pairs])
@@ -811,10 +958,11 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
                 acc = [a + sw * v for a, v in zip(acc, vals)]
     finally:
         _TERM_WORK.reset(token)
-        for work in works:  # leave no work in a reference cycle with its block
-            work.block = None
+        for work in works:  # leave no work in a reference cycle with its tables
+            work.tables = None
     acc = acc if ctx is not None else _complex(re, im).tolist()
-    return dict(zip(pairs, acc)), {"underflowed": underflowed, "quad_err": quad_err}
+    return (dict(zip(pairs, acc)), {"underflowed": underflowed, "quad_err": quad_err},
+            {"integrals": len(pairs) * len(works) - images, "images": images})
 
 
 def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
@@ -824,13 +972,15 @@ def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     window coefficients (in double precision, or at dps digits), then the
     fold into chi (fixed, sorted summation order for reproducibility).
     meta records s_max, dps, the "underflowed" and "quad_err" of
-    window_coefficients, and "quad_order", the quadrature order the channel
-    was built at (None on box cells, which integrate in closed form)."""
+    window_coefficients, "quad_order", the quadrature order the channel was
+    built at (None on box cells, which integrate in closed form), and how
+    many (pair, term) values of the window were computed ("integrals") and
+    read as exact images of others ("images"; 0 off float box cells)."""
     _decay_precheck(cf, code, trunc.s_max)
-    coeffs, trust = window_coefficients(code, cell, cf, trunc, dps, quad_order)
+    coeffs, trust, counts = _coefficients(code, cell, cf, trunc, dps, quad_order)
     ch = LogicalSuperop.from_pauli_pairs(code.dims, coeffs)
     ch.meta = {"s_max": trunc.s_max, "dps": dps, **trust,
-               "quad_order": None if isinstance(cell, BoxCell) else quad_order}
+               "quad_order": None if isinstance(cell, BoxCell) else quad_order, **counts}
     return ch
 
 

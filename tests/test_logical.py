@@ -21,8 +21,9 @@ from gkpsim.charfun import (
     loss_charfun,
     random_displacement_charfun,
 )
-from gkpsim import cli, logical
-from gkpsim.lattice import GkpCode, VoronoiCell, hexagonal_code, square_code, voronoi_box
+from gkpsim import charfun, cli, logical
+from gkpsim.lattice import (BoxCell, GkpCode, VoronoiCell, hexagonal_code, rectangular_code, square_code,
+                            voronoi_box)
 from gkpsim.logical import (
     DecayViolationError,
     LogicalSuperop,
@@ -435,7 +436,10 @@ def test_box_value_that_overflows_raises_alone_and_in_the_window():
         window_coefficients(SQ, CELL, ChannelCharFn.single(kernel), TruncationSpec(0))
 
 
-def test_mpmath_box_values_read_const_from_the_shared_table():
+def test_mpmath_box_values_read_const_from_the_shared_table(monkeypatch):
+    # both precisions take const and b_v from _pair_forms over the same label
+    # pieces: a lone pair's mpmath table holds the bits that its float table
+    # was computed from
     kernel = compose(loss_charfun(0.01), envelope_charfun(10 ** (-26 / 20))).terms[0][1]
     window = TruncationSpec(1).window(2)
     s, t = (1, -1), (0, 1)
@@ -443,13 +447,22 @@ def test_mpmath_box_values_read_const_from_the_shared_table():
     ctx.dps = 30
     work = logical._TermWork(kernel, SQ, CELL)
     work.prime(window)
-    value = work.box_value(s, t, None)
-    _, index, const, _, _ = work.box
+    forms, pair_forms = [], logical._pair_forms
+
+    def recorded(*args):
+        forms.append(pair_forms(*args))
+        return forms[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(logical, "_pair_forms", recorded)
+        value = work.box_value(s, t, None)
+        exact = work.box_value(s, t, ctx)
+    _, index, const, bv, _ = work.box
+    assert len(forms) == 2 and len(index) == 2
+    assert const.tobytes() == forms[0][0].tobytes() and bv.tobytes() == forms[0][1].tobytes()
     at = index[s] * len(index) + index[t]
     expect = _form_oracle(kernel, SQ, s, t)[1]
     assert abs(const[at] - expect) <= 1e-12 * abs(expect)
-    exact = work.box_value(s, t, ctx)
-    assert work.box[2].tobytes() == const.tobytes()  # the same const, in either precision
     assert abs(complex(exact) - value) <= 1e-14 * abs(value)
     work.box[2][at] += 1
     assert abs(work.box_value(s, t, ctx) / exact - ctx.e) < ctx.mpf(10) ** -25
@@ -457,11 +470,12 @@ def test_mpmath_box_values_read_const_from_the_shared_table():
 
 
 def _recorded_box_window(monkeypatch, cf, s_max):
-    """window_coefficients on the square box, with (term index, s, t, value)
-    of every box_cell_integral call and the number of terms of each block
-    whose tables were built together: (coefficients, calls, blocks)."""
+    """logical_channel's window on the square box, with (term index, s, t,
+    value) of every box_cell_integral call and the number of representative
+    elements of each block computed together: (coefficients, calls, blocks,
+    counts of integrals and images)."""
     calls, blocks = [], []
-    box, tables = logical.box_cell_integral, logical._box_tables
+    box, values = logical.box_cell_integral, logical._box_values
     term = {id(kernel): i for i, (_, kernel) in enumerate(cf.terms)}
 
     def recorded(kernel, code, cell, s, t, ctx=None):
@@ -469,15 +483,15 @@ def _recorded_box_window(monkeypatch, cf, s_max):
         calls.append((term[id(kernel)], s, t, value))
         return value
 
-    def counted(works, *args):
-        blocks.append(len(works))
-        return tables(works, *args)
+    def counted(q, amp, intervals, k, const, bv):
+        blocks.append(len(k))
+        return values(q, amp, intervals, k, const, bv)
 
     with monkeypatch.context() as patch:
         patch.setattr(logical, "box_cell_integral", recorded)
-        patch.setattr(logical, "_box_tables", counted)
-        coeffs, _ = window_coefficients(SQ, CELL, cf, TruncationSpec(s_max))
-    return coeffs, calls, blocks
+        patch.setattr(logical, "_box_values", counted)
+        coeffs, _, counts = logical._coefficients(SQ, CELL, cf, TruncationSpec(s_max), None, 40)
+    return coeffs, calls, blocks, counts
 
 
 @pytest.mark.parametrize("cf, terms", [
@@ -487,9 +501,10 @@ def _recorded_box_window(monkeypatch, cf, s_max):
 @pytest.mark.parametrize("s_max, stride", [(2, 5), (3, 19)])
 def test_window_box_values_of_many_blocks_are_bit_identical_to_lone_calls(monkeypatch, cf, terms,
                                                                          s_max, stride):
-    # the window's terms build their tables in several blocks (at S 2 the
-    # last one short), and both the window and the lone calls take the
-    # Faddeeva endpoint form; every sampled (pair, term) value and every
+    # the window's representatives are computed in several blocks of whole
+    # terms, each within BOX_BLOCK elements unless it holds one term, and
+    # both the window and the lone calls take the Faddeeva endpoint form;
+    # every sampled (pair, term) value, computed or an image, and every
     # pair's sum over the terms has the bits of the per-pair computation
     wofz, endpoint = logical.scipy.special.wofz, []
 
@@ -498,10 +513,11 @@ def test_window_box_values_of_many_blocks_are_bit_identical_to_lone_calls(monkey
         return wofz(z)
 
     monkeypatch.setattr(logical.scipy.special, "wofz", counted)
-    got, calls, blocks = _recorded_box_window(monkeypatch, cf, s_max)
+    got, calls, blocks, counts = _recorded_box_window(monkeypatch, cf, s_max)
     pairs = len(TruncationSpec(s_max).window(2)) ** 2
-    assert len(calls) == len(cf.terms) * pairs and sum(blocks) == len(cf.terms) and len(blocks) > 1
-    assert max(blocks) * pairs <= max(logical.BOX_BLOCK, pairs) and (s_max == 3 or blocks[-1] < blocks[0])
+    assert len(calls) == len(cf.terms) * pairs == counts["integrals"] + counts["images"]
+    assert sum(blocks) == counts["integrals"] < len(calls) / (4 if len(cf.terms) == 64 else 1.9)
+    assert len(blocks) > 1 and max(blocks) <= max(logical.BOX_BLOCK, pairs)
     assert endpoint
     expect = {}
     for i, s, t, value in calls:  # as the per-pair loop adds them up
@@ -515,30 +531,206 @@ def test_window_box_values_of_many_blocks_are_bit_identical_to_lone_calls(monkey
     assert endpoint
 
 
+def _maps_of(cf, code=SQ, cell=CELL):
+    """logical._maps of the FULL terms of cf on code and cell."""
+    data = np.array([np.concatenate([k.q_matrix.ravel(), k.linear, [k.amp]]) for _, k in cf.terms]) + 0j
+    return logical._maps(tuple(map(tuple, code.dual_basis().tolist())), tuple(cell.intervals), data.tobytes())
+
+
+def _orbit_oracle(maps, window):
+    """The representative (smallest flat element k N^2 + i N + j) of every
+    box element (k, s, t) under maps, by trying each map on each element."""
+    flips, taus, swaps = maps
+    n, index = len(window), {s: i for i, s in enumerate(window)}
+    reps = {}
+    for k in range(len(swaps)):
+        for s in window:
+            for t in window:
+                images = []
+                for (f, _), tau in zip(flips, taus):
+                    if tau[k] >= 0:
+                        fs, ft = (index[tuple(a * b for a, b in zip(f, x))] for x in (s, t))
+                        images += [tau[k] * n * n + fs * n + ft] + ([tau[k] * n * n + ft * n + fs] if swaps[k] else [])
+                reps[(k, s, t)] = min(images)
+    return reps
+
+
 @pytest.mark.parametrize("cf", [
     dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=16),
     compose(loss_charfun(0.01), envelope_charfun(10 ** (-10 / 20))),
     random_displacement_charfun(0.25),
 ], ids=["dephasing16", "loss", "diag-delta"])
 def test_float_window_computes_each_distinct_1d_factor_once(monkeypatch, cf):
-    # each (pair, term) needs one factor per coordinate k, that of b_k; the
-    # tables compute each distinct (term, k, b_k) once, by the bits of b_k,
-    # in one _gaussian_1d call per block, and a lone call its own two
+    # each representative (pair, term) needs one factor per coordinate k,
+    # that of b_k; the window computes each distinct (term, k, b_k) among
+    # the orbit representatives once, by the bits of b_k, in one _gaussian_1d
+    # call per block of whole terms, and a lone call its own two
     window = TruncationSpec(2).window(2)
-    requests = []
+    n = len(window)
+    full = cf.terms[0][1].kind != DIAG_DELTA
+    reps = set(_orbit_oracle(_maps_of(cf), window).values()) if full else None
+    requests, every, per_term = [], set(), [0] * len(cf.terms)
     for i, (_, kernel) in enumerate(cf.terms):
         work = logical._TermWork(kernel, SQ, CELL)
-        for s in window:
-            for t in window if kernel.kind != DIAG_DELTA else [s]:
-                requests += [(i, k, np.complex128(b).tobytes()) for k, b in enumerate(work.form(s, t)[0])]
-    window_call = lambda: window_coefficients(SQ, CELL, cf, TruncationSpec(2))  # noqa: E731
-    _, elements = _counted_y_factors(monkeypatch, window_call)
-    assert sum(elements) == len(set(requests)) < len(requests) / 2
-    per_term = len(requests) // (2 * len(cf.terms))  # pairs (labels for DIAG_DELTA) of one term
-    assert len(elements) == -(-len(cf.terms) // max(1, logical.BOX_BLOCK // per_term))  # one call per block
+        for a, s in enumerate(window):
+            for b, t in enumerate(window if full else [s]):
+                factors = [(i, k, np.complex128(b_k).tobytes()) for k, b_k in enumerate(work.form(s, t)[0])]
+                every.update(factors)
+                if reps is None or i * n * n + a * n + b in reps:
+                    per_term[i] += 1
+                    requests += factors
+    window_call = lambda: logical._coefficients(SQ, CELL, cf, TruncationSpec(2), None, 40)  # noqa: E731
+    (_, _, counts), elements = _counted_y_factors(monkeypatch, window_call)
+    assert sum(elements) == len(set(requests)) < len(requests) / (1.5 if full else 2)
+    assert sum(elements) < len(every) if full else sum(elements) == len(every)
+    assert counts["integrals"] == (len(requests) // 2 if full else n * n * len(cf.terms))
+    assert counts["images"] == (n * n * len(cf.terms) - len(requests) // 2 if full else 0)
+    blocks, total = 1, 0  # whole terms, up to BOX_BLOCK representatives (or one term)
+    for i, count in enumerate(per_term):
+        if i and total + count > logical.BOX_BLOCK:
+            blocks, total = blocks + 1, 0
+        total += count
+    assert len(elements) == blocks  # one call per block
     lone_call = lambda: box_cell_integral(cf.terms[-1][1], SQ, CELL, (1, -2), (1, -2))  # noqa: E731
     _, elements = _counted_y_factors(monkeypatch, lone_call)
     assert elements == [2]
+
+
+def _window_values(cf, code, cell, s_max):
+    """logical_channel's window, with the value of every box_cell_integral
+    call: (calls as (term, s, t, value), counts of integrals and images)."""
+    calls = []
+    box = logical.box_cell_integral
+    term = {id(kernel): i for i, (_, kernel) in enumerate(cf.terms)}
+
+    def recorded(kernel, code, cell, s, t, ctx=None):
+        calls.append((term[id(kernel)], s, t, box(kernel, code, cell, s, t, ctx)))
+        return calls[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logical, "box_cell_integral", recorded)
+        _, _, counts = logical._coefficients(code, cell, cf, TruncationSpec(s_max), None, 40)
+    return calls, counts
+
+
+def _kraus_pair(delta2, phi, weight=1.0):
+    """(weight, the Kraus-pair kernel of the complex envelope e^{-(Delta^2 - i phi) n})."""
+    return weight + 0j, charfun.kraus_pair_kernel(charfun._envelope_operator_kernel(delta2 - 1j * phi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(nodes=st.lists(st.tuples(st.floats(0.05, 0.6), st.floats(0, 0.4), st.floats(0.1, 1)), min_size=1, max_size=2),
+       s_max=st.integers(1, 2), centre=st.booleans())
+def test_window_images_have_the_bits_of_lone_calls(nodes, s_max, centre):
+    # Kraus pairs of complex envelopes in mirrored pairs +-phi (and one at
+    # phi = 0, its own mirror): every (pair, term) value that the window
+    # reads, computed or an image, is the lone call's to the last bit
+    terms = [_kraus_pair(d2, sign * phi, w) for d2, phi, w in nodes for sign in (1, -1)]
+    terms += [_kraus_pair(nodes[0][0], 0.0)] if centre else []
+    cf = ChannelCharFn(1, terms)
+    calls, counts = _window_values(cf, SQ, CELL, s_max)
+    pairs = len(TruncationSpec(s_max).window(2)) ** 2
+    assert counts["integrals"] + counts["images"] == len(calls) == len(terms) * pairs
+    assert counts["images"] > len(calls) / 2
+    for i, s, t, value in calls:
+        assert repr(box_cell_integral(cf.terms[i][1], SQ, CELL, s, t)) == repr(value)
+
+
+_ENVELOPE = envelope_charfun(10 ** (-10 / 20)).terms[0][1]
+_RECTANGULAR = rectangular_code(1.3)
+
+
+@pytest.mark.parametrize("case, kernel, code, cell", [
+    ("linear", GaussianKernel(1, _ENVELOPE.amp, _ENVELOPE.q_matrix, np.array([0.3, 0.2j, -0.1, 0.4 + 0.1j])),
+     SQ, CELL),
+    ("complex amp", GaussianKernel(1, _ENVELOPE.amp * np.exp(0.3j), _ENVELOPE.q_matrix), SQ, CELL),
+    ("asymmetric box", _ENVELOPE, SQ, BoxCell([(-0.5, 0.6), (-0.7, 0.7)])),
+    ("lone node", _kraus_pair(0.1, 0.2)[1], SQ, CELL),
+    ("rectangular", _ENVELOPE, _RECTANGULAR, voronoi_box(_RECTANGULAR)),
+    ("hexagonal box", _ENVELOPE, HEX, BoxCell.centered([1.5, 1.3])),
+])
+def test_box_maps_hold_only_where_their_images_are_exact(case, kernel, code, cell):
+    # each kernel or cell turns some maps off: a linear term parity, the
+    # reflections and the swap; a complex amp the swap and the reflections
+    # (which conjugate it); a box whose p interval is not [-h, h] the flips
+    # of p; a dephasing node without its -phi partner the reflections; a
+    # dual basis that does not commute with diag(1, -1) the reflections,
+    # while a rectangular code's box keeps every flip.  What is left of the
+    # maps gives the count of images, and every value is the lone call's
+    cf = ChannelCharFn.single(kernel)
+    flips, taus, swaps = maps = _maps_of(cf, code, cell)
+    held = {f: tau[0] == 0 for (f, _), tau in zip(flips, taus)}
+    expect = {
+        "linear": ({(1, 1): True, (1, -1): False, (-1, 1): False, (-1, -1): False}, False),
+        "complex amp": ({(1, 1): True, (1, -1): False, (-1, 1): False, (-1, -1): True}, False),
+        "asymmetric box": ({(1, 1): True, (1, -1): True}, True),
+        "lone node": ({(1, 1): True, (1, -1): False, (-1, 1): False, (-1, -1): True}, True),
+        "rectangular": ({(1, 1): True, (1, -1): True, (-1, 1): True, (-1, -1): True}, True),
+        "hexagonal box": ({(1, 1): True, (-1, -1): True}, True),
+    }[case]
+    assert (held, swaps[0]) == expect
+    window = TruncationSpec(1).window(2)
+    calls, counts = _window_values(cf, code, cell, 1)
+    assert counts["integrals"] == len(set(_orbit_oracle(maps, window).values()))
+    assert (counts["images"] == 0) == (case == "linear")
+    for _, s, t, value in calls:
+        assert repr(box_cell_integral(kernel, code, cell, s, t)) == repr(value)
+
+
+@pytest.mark.parametrize("cf, s_max, integrals, images", [
+    (dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=64), 2, 5408, 34592),
+    (envelope_charfun(10 ** (-10 / 20)), 3, 337, 2064),
+    (compose(loss_charfun(0.01), envelope_charfun(10 ** (-10 / 20))), 3, 1201, 1200),
+], ids=["dephasing64-S2", "envelope-S3", "loss-S3"])
+def test_channel_meta_counts_integrals_and_images(cf, s_max, integrals, images):
+    ch = logical_channel(SQ, CELL, cf, TruncationSpec(s_max))
+    assert (ch.meta["integrals"], ch.meta["images"]) == (integrals, images)
+    assert ch.meta["underflowed"] == 0
+    pairs = len(TruncationSpec(s_max).window(2)) ** 2
+    # the mpmath path and the slab rule integrate every (pair, term)
+    env = envelope_charfun(10 ** (-10 / 20))
+    for meta in (logical_channel(SQ, CELL, env, TruncationSpec(1), dps=20).meta,
+                 logical_channel(HEX, HEX_CELL, env, TruncationSpec(1), quad_order=20).meta):
+        assert (meta["integrals"], meta["images"]) == (81, 0)
+    assert integrals + images == pairs * len(cf.terms)
+
+
+def test_images_of_values_with_a_zero_part_have_the_bits_of_lone_calls():
+    # at 25.2 dB many values are exact zeros, past the -745 cutoff or from a
+    # product that underflows, whose signs the arithmetic leaves arbitrary
+    # (-0.0 or 0.0 for a pair and its parity image); every zero part reads
+    # +0.0, so images keep a lone call's bits
+    cf = compose(loss_charfun(0.001), envelope_charfun(10 ** (-25.2 / 20)))
+    calls, counts = _window_values(cf, SQ, CELL, 2)
+    assert counts["images"] > 0
+    values = [value for *_, value in calls]
+    assert sum(v == 0 for v in values) > counts["integrals"] // 2  # underflowed, or past the cutoff
+    assert not any(np.signbit(v.real) and v.real == 0 or np.signbit(v.imag) and v.imag == 0 for v in values)
+    for _, s, t, value in calls:
+        assert repr(box_cell_integral(cf.terms[0][1], SQ, CELL, s, t)) == repr(value)
+
+
+def test_dephasing_maps_pair_each_node_with_its_mirror():
+    flips, taus, swaps = _maps_of(dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=9))
+    assert flips == (((1, 1), False), ((1, -1), True), ((-1, 1), True), ((-1, -1), False))
+    assert taus == (tuple(range(9)), tuple(range(8, -1, -1)), tuple(range(8, -1, -1)), tuple(range(9)))
+    assert all(swaps)
+    flips, taus, swaps = _maps_of(compose(loss_charfun(0.01), envelope_charfun(10 ** (-10 / 20))))
+    assert taus == ((0,), (-1,), (-1,), (0,)) and swaps == (False,)
+
+
+@pytest.mark.parametrize("family", ["envelope", "loss", "displacement", "displacement alone", "dephasing"])
+def test_restricted_forms_are_the_matrix_products(family):
+    # the block sums of _restricted are J^T Q J, (2 J^T) Q and J^T L as
+    # numpy multiplies them, to the last bit apart from the sign of a zero
+    kernels = [_kernel(family, 12.0, 0.01, term) for term in range(8)]
+    kernels = [k for k in kernels if k.kind == kernels[0].kind]
+    _, _, qv, two_jq, jl, _ = logical._restricted(kernels)
+    for k, kernel in enumerate(kernels):
+        q, lin = kernel.q_matrix, kernel.linear
+        j = np.vstack([np.eye(2), np.eye(2)]) if kernel.kind != DIAG_DELTA else np.eye(2)
+        for got, expect in ((qv[k], j.T @ q @ j), (two_jq[k], 2 * j.T @ q), (jl[k], j.T @ lin)):
+            assert (got + 0j).tobytes() == (expect + 0j).tobytes()
 
 
 def test_distinct_factor_arguments_by_row_and_bits():
@@ -556,27 +748,28 @@ def test_distinct_factor_arguments_by_row_and_bits():
 
 def test_box_term_that_overflows_in_the_middle_of_a_block_raises_alone_and_in_the_window(monkeypatch):
     # exp(b^2/4q) with b = 30, q = 0.02 is e^11250 for the middle term only;
-    # the three terms share one block, and only a read of the middle term's
-    # elements raises
+    # the three terms share one block (the last term, the first one's twin,
+    # is all images of it), and only a read of the middle term's elements
+    # raises
     fine = envelope_charfun(10 ** (-10 / 20)).terms[0][1]
     bad = GaussianKernel(1, 1 + 0j, -0.01 * np.eye(4), np.array([30.0, 0, 0, 0]))
     cf = ChannelCharFn(1, [(0.5 + 0j, fine), (0.25 + 0j, bad), (0.25 + 0j, fine)])
-    box, tables = logical.box_cell_integral, logical._box_tables
+    box, values = logical.box_cell_integral, logical._box_values
     reads, blocks = [], []
 
     def read(kernel, *args):
         reads.append(kernel)
         return box(kernel, *args)
 
-    def built(works, *args):
-        blocks.append(len(works))
-        return tables(works, *args)
+    def built(q, amp, intervals, k, const, bv):
+        blocks.append(sorted(set(k.tolist())))
+        return values(q, amp, intervals, k, const, bv)
 
     monkeypatch.setattr(logical, "box_cell_integral", read)
-    monkeypatch.setattr(logical, "_box_tables", built)
+    monkeypatch.setattr(logical, "_box_values", built)
     with pytest.raises(OverflowError, match="overflows double precision"):
         window_coefficients(SQ, CELL, cf, TruncationSpec(1))
-    assert blocks == [3] and len(reads) == 82 and all(k is fine for k in reads[:81]) and reads[81] is bad
+    assert blocks == [[0, 1]] and len(reads) == 82 and all(k is fine for k in reads[:81]) and reads[81] is bad
     with pytest.raises(OverflowError, match="overflows double precision"):
         box(bad, SQ, CELL, (0, 0), (0, 0))
     assert np.isfinite(box(fine, SQ, CELL, (0, 0), (0, 0)))
@@ -1051,7 +1244,7 @@ def test_zero_infidelity_alone_does_not_rerun(monkeypatch):
     res = cli._analysis(envelope_charfun(10 ** (-30 / 20)), SQ, CELL, 0)
     assert res["infidelity"] == 0
     assert metas == [{"s_max": 0, "dps": None, "underflowed": 0, "quad_err": 0.0,
-                      "quad_order": None}]
+                      "quad_order": None, "integrals": 1, "images": 0}]
     assert len(calls) == 1
 
 
