@@ -20,7 +20,6 @@ from .symplectic import (
     INTEGRALITY_TOL,
     assert_symplectic,
     is_integral,
-    omega,
 )
 
 
@@ -126,14 +125,6 @@ class GkpCode:
         if not parts:
             return "I"
         return "".join(parts)
-
-    def check_lattice(self) -> bool:
-        """Lattice and dual-lattice symplectic integrality."""
-        m = self.generator_matrix()
-        om = omega(self.n_modes)
-        mbar = self.dual_basis().T
-        return (is_integral(m @ om @ m.T, INTEGRALITY_TOL)
-                and is_integral(mbar @ om @ m.T, INTEGRALITY_TOL))
 
 
 def square_code(d: int = 2, n: int = 1) -> GkpCode:

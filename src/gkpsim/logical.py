@@ -11,20 +11,23 @@ of the polygon's vertical slabs.
 Only b_v and const of the restricted exponent change from one (s, t) pair
 to the next, and both are affine in each label, so window_coefficients
 computes the rest of each kernel term once (_TermWork), and the restricted
-forms and box checks of the terms of one kind as stacks (_restricted).  On
-a box cell the square code's symmetries make many (term, pair) values
-equal or conjugate: sign flips of the dual coordinates, with the term map
-that goes with each (p -> -p takes the dephasing node phi onto -phi), and
-the Hermitian swap c_{t,s} = conj(c_{s,t}).  Where such a map has the bits of a
-direct computation (_maps), one representative per orbit is computed
-(_orbits), in blocks of terms with one _gaussian_1d call on each distinct
-(term, coordinate, b_k) and one exp, and every other value is read as its
-image (_BoxTables).  A slab rule's y factors depend on a pair only through
-b_1, so each distinct b_1 gets one row of factors over the nodes, and the
-integrands of every pair (s, t) with one label s are built as one batch.
-Each (pair, term) still makes one box_cell_integral or
+forms and box checks of the terms of one kind as stacks (_restricted).
+One formula, _pair_forms, sums a pair's (const, b_v) from per-label pieces
+for every cell type and precision, and one dedup, _distinct, finds the
+distinct arguments of 1D factors by their bits.  On a box cell the square
+code's symmetries make many (term, pair) values equal or conjugate: sign
+flips of the dual coordinates, with the term map that goes with each
+(p -> -p takes the dephasing node phi onto -phi), and the Hermitian swap
+c_{t,s} = conj(c_{s,t}).  Where such a map has the bits of a direct
+computation (_maps), one representative per orbit is computed (_orbits),
+in blocks of terms with one _gaussian_1d call on each distinct (term,
+coordinate, b_k) and one exp, and every other value is read as its image
+(_BoxTables).  A slab rule's y factors depend on a pair only through
+b_1, so each distinct b_1 of the window gets one row of factors over the
+nodes, and the integrands of every pair (s, t) with one label s are built
+as one batch.  Each (pair, term) still makes one box_cell_integral or
 numeric_cell_integral call; on its own such a call computes its term over
-its two labels, with no map, and has the same bits.
+its own pair, with no map, and has the same bits.
 P(s + d k) is a sign times P(s), so the window folds exactly into the
 d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
 
@@ -217,10 +220,10 @@ def _box_diag(qv):
 
 
 def _label_pieces(forms, lab):
-    """_TermWork's pieces of each row lbar of lab for the terms of a
-    _restricted stack, as arrays with a term axis: (a, b, Om lbar, alpha,
-    beta, u, lbar) for FULL, Om lbar and lbar with a term axis of 1, or
-    (b_v, const)."""
+    """The per-label pieces of _TermWork's sums, of each row lbar of lab for
+    the terms of a _restricted stack, as arrays with a term axis: (a, b,
+    Om lbar, alpha, beta, u, lbar) for FULL, Om lbar and lbar with a term
+    axis of 1, or (b_v, const)."""
     q, lin, _, two_jq, _, om = forms
     lin = lin[:, None]
     if om is None:
@@ -233,10 +236,11 @@ def _label_pieces(forms, lab):
 
 
 def _pair_forms(forms, lab, k, i, j):
-    """(const, b_v) of the box elements (term k, s_i, t_j) of a _restricted
+    """(const, b_v) of the elements (term k, s_i, t_j) of a _restricted
     stack (i = j for DIAG_DELTA), lbar the rows of lab: _TermWork's sums of
     the label pieces, elementwise, b_v with its coordinate axis first and
-    u(s) . lbar(t) as CPython multiplies a complex and a float."""
+    u(s) . lbar(t) as CPython multiplies a complex and a float.  The one
+    place that sums them, for box tables, mpmath box values and slab rows."""
     pieces = _label_pieces(forms, lab)
     if forms[5] is None:
         return pieces[1][k, i], np.moveaxis(pieces[0][k, i], -1, 0)
@@ -254,10 +258,12 @@ class _TermWork:
     over every (s, t) pair: its restricted form and box diagonal, its box
     table (from the window's _BoxTables when the first pair reads it, or
     over a lone pair's labels), each slab rule with the pair-independent
-    parts of its exponent, the per-label pieces of a slab exponent (for a
-    whole window by prime), and per slab rule a table of y factors, one row
-    of nodes per distinct b_1, with the integrands of the latest row of
-    pairs, which runs over the window's labels (or just one pair).
+    parts of its exponent, and one set of pairs with their (const, b_v) from
+    _pair_forms: every pair of the window's labels (s = t only for
+    DIAG_DELTA) when the window holds both labels of the pair asked for,
+    and that pair alone otherwise.  Per slab rule the set keeps one row of
+    y factors over the nodes per distinct b_1, and the integrands of the
+    latest row of pairs with one label s.
 
     FULL: with lbar = lbar(s) and J = (1, 1)^T, the exponent of
     c_{s,t}(v, v) = c(v + lbar(s), v + lbar(t)) e^{i pi v^T Om (lbar(s) - lbar(t))}
@@ -274,86 +280,79 @@ class _TermWork:
     def __init__(self, kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell):
         self.kernel, self.code, self.cell = kernel, code, cell
         self.window, self.lab, self.tables = {}, None, None  # label -> position, lbar as rows, (_BoxTables, term)
-        self.pieces = {}  # tuple(s) -> the pieces of lbar(s)
-        self.box = None  # (None, label -> position, values, all finite) or (ctx, label -> position, const, b_v, memo)
+        self.box = None  # (label -> position, values, all finite) of the float box table
         self.images = 0  # elements of the box table read as images of others
+        self.pairs = None  # (lone pair or None for the window's, const, b_v, order -> y factors)
+        self.memo = {}  # (ctx, q, b, lo, hi) -> an mpmath 1D factor
         self.rules = {}  # order -> the slab rules of orders n and n + n // 2
-        self.y_factors = {}  # order -> {exact bits of b_1: (exponent, prefactor) at the nodes}
-        self.row = None  # ((order, s), label t -> position, the integrand of each pair (s, t))
+        self.row = None  # ((order, first position), the integrands of a row of pairs)
 
     @functools.cached_property
     def forms(self):
         """_restricted of this term alone."""
         return _restricted([self.kernel])
 
-    @functools.cached_property
-    def restricted(self):
-        """(Q_v, 2 J^T Q, J^T L as a list, omega(n)), with J = (1, 1)^T the
-        restriction to u = v; J is the identity for DIAG_DELTA (omega None)."""
-        _, _, qv, two_jq, jl, om = self.forms
-        return qv[0], two_jq[0], jl[0].tolist(), om
-
-    def prime(self, labels):
-        """Compute the pieces of every label not seen yet, as one batch."""
-        new = list(dict.fromkeys(s for s in map(tuple, labels) if s not in self.pieces))
-        if new:
-            pieces = _label_pieces(self.forms, _label_vectors(self.code, new))
-            self.pieces.update(zip(new, zip(*(p[0].tolist() for p in pieces))))
-
-    def form(self, s, t):
-        """(b_v, const) of the exponent v^T Q_v v + b_v^T v + const of
-        c_{s,t}(v, v) on a 2D cell, or None where it vanishes; b_v is a
-        list.  The one-pair case of _slab_forms."""
-        s, t = tuple(s), tuple(t)
-        if self.restricted[3] is None and s != t:
+    def pair(self, s, t):
+        """The position of (s, t) in the arrays of this term's set of pairs,
+        or None where c_{s,t} vanishes: i N + j for labels at positions i and
+        j of the window's N (i for DIAG_DELTA), or 0 for a lone pair."""
+        full = self.forms[5] is not None
+        if not (full or s == t):
             return None
-        self.prime((s, t))
-        b0, b1, const = self._slab_forms(s, (t,))
-        return [b0.item(), b1.item()], const.item()
+        window = s in self.window and t in self.window
+        if self.pairs is None or self.pairs[0] != (None if window else (s, t)):
+            if window:
+                n = len(self.window)
+                lab, (i, j) = self.lab, np.divmod(np.arange(n * n), n) if full else (np.arange(n),) * 2
+            else:
+                lab, (i, j) = _label_vectors(self.code, (s, t)), np.array([[0], [1]])
+            self.pairs = None if window else (s, t), *_pair_forms(self.forms, lab, np.zeros_like(i), i, j), {}
+            self.row = None
+        if not window:
+            return 0
+        return self.window[s] * len(self.window) + self.window[t] if full else self.window[s]
 
     def box_value(self, s, t, ctx):
         """The integral of c_{s,t}(v, v) over the box, or None where it
         vanishes: in double precision (ctx None) an element of the term's
         table (from the window's _BoxTables, or from one over a lone pair's
         labels), which raises OverflowError where it is not finite; in the
-        mpmath context ctx from this term's const and b_v (_pair_forms) and
-        one 1D factor per coordinate, each distinct one computed once."""
+        mpmath context ctx from its const and b_v (pair) and one 1D factor
+        per coordinate, each distinct one computed once."""
         s, t = tuple(s), tuple(t)
+        if ctx is not None:
+            at = self.pair(s, t)
+            if at is None:
+                return None
+            _, const, bv, _ = self.pairs
+            exponent, pref = ctx.mpc(const.item(at)), ctx.mpc(self.kernel.amp)
+            for q, x, (lo, hi) in zip(self.box_diag, bv, self.cell.intervals):
+                key = ctx, -q, x.item(at), lo, hi
+                if key not in self.memo:
+                    self.memo[key] = _gaussian_1d_mp(*key)
+                exponent, pref = exponent + self.memo[key][0], pref * self.memo[key][1]
+            return pref * ctx.exp(exponent)
         box = self.box
-        index = box[1] if box is not None and box[0] is ctx else {}
+        index = box[0] if box is not None else {}
         i, j = index.get(s), index.get(t)
         full = self.kernel.kind == FULL
         if i is None or j is None:
             window = s in self.window and t in self.window
             index = self.window if window else dict(zip(dict.fromkeys((s, t)), itertools.count()))
-            if ctx is not None:
-                lab = self.lab if window else _label_vectors(self.code, index)
-                i, j = np.divmod(np.arange(len(index) ** 2), len(index)) if full else (np.arange(len(index)),) * 2
-                self.box = ctx, index, *_pair_forms(self.forms, lab, np.zeros_like(i), i, j), {}
-            else:
-                tables, k = self.tables if window and self.tables else (_BoxTables([self], index, None, None), 0)
-                table, finite, self.images = tables.table(k)
-                self.box = None, index, table, finite
-            box, i, j = self.box, index[s], index[t]
+            tables, k = self.tables if window and self.tables else (_BoxTables([self], index, None, None), 0)
+            table, finite, self.images = tables.table(k)
+            box = self.box = index, table, finite
+            i, j = index[s], index[t]
         if full:
             at = i * len(index) + j
         elif s == t:
             at = i
         else:
             return None
-        if ctx is None:
-            value = box[2][at]
-            if not (box[3] or cmath.isfinite(value)):
-                raise OverflowError(f"box integral of pair {s}, {t} overflows double precision")
-            return value
-        _, _, const, bv, memo = box
-        exponent, pref = ctx.mpc(const.item(at)), ctx.mpc(self.kernel.amp)
-        for q, x, (lo, hi) in zip(self.box_diag, bv, self.cell.intervals):
-            key = -q, x.item(at), lo, hi
-            if key not in memo:
-                memo[key] = _gaussian_1d_mp(ctx, *key)
-            exponent, pref = exponent + memo[key][0], pref * memo[key][1]
-        return pref * ctx.exp(exponent)
+        value = box[1][at]
+        if not (box[2] or cmath.isfinite(value)):
+            raise OverflowError(f"box integral of pair {s}, {t} overflows double precision")
+        return value
 
     @functools.cached_property
     def box_diag(self):
@@ -366,7 +365,7 @@ class _TermWork:
         q = -Q_11, where row 0 of the 2-row weight matrix holds the
         order-n rule and row 1 the other."""
         if order not in self.rules:
-            qv = self.restricted[0]
+            qv = self.forms[2][0]
             q = complex(-qv[1, 1])
             if q.real <= 0:
                 raise ValueError("restricted form is not decaying along y; slab rule needs Re q > 0")
@@ -382,54 +381,34 @@ class _TermWork:
         """exp(v^T Q_v v + b_v^T v + const) of c_{s,t}(v, v) integrated over y
         at the x nodes of rule(order), or None where it vanishes.
 
-        The integrands of pair (s, t') for every window label t' (only t
-        itself outside the window, or for DIAG_DELTA) are built as one batch
-        and held until another s or order is asked for."""
+        The integrands of the row of pairs (s, t') of the set of pairs
+        (every window label t' for FULL, else just (s, t)) are built as one
+        batch and held until another row or order is asked for: at each x
+        node, the 1D factor in y of q = -Q_11 and beta(x) = (Q_01 + Q_10) x +
+        b_1 from y_lo to y_hi, whose exponent joins Q_00 x^2 + b_0 x + const
+        before the one exp.  A factor depends on the pair only through b_1,
+        so each distinct b_1 of the set (by its exact bits) is computed once
+        per order, in blocks of 16."""
         s, t = tuple(s), tuple(t)
-        full = self.restricted[3] is not None
-        if not (full or s == t):
+        at = self.pair(s, t)
+        if at is None:
             return None
-        row = self.row
-        if row is None or row[0] != (order, s) or t not in row[1]:
-            ts = self.window if full and s in self.window and t in self.window else (t,)
-            row = self.row = (order, s), {u: i for i, u in enumerate(ts)}, self._slab_batch(s, ts, order)
-        return row[2][row[1][t]]
-
-    def _slab_batch(self, s, ts, order: int):
-        """The slab_row of every pair (s, t) for t in ts, as rows of one array:
-        at each x node, the 1D factor in y of q = -Q_11 and
-        beta(x) = (Q_01 + Q_10) x + b_1 from y_lo to y_hi, whose exponent joins
-        Q_00 x^2 + b_0 x + const before the one exp.  A factor depends on the
-        pair only through b_1, so each distinct b_1 (by its exact bits) is
-        computed once per order, in blocks of 16."""
-        self.prime((s, *ts))
-        x, y_lo, y_hi, _, xx, xy, q = self.rule(order)
-        b0, b1, const = self._slab_forms(s, ts)
-        table = self.y_factors.setdefault(order, {})
-        keys = b1.view("V16").tolist()
-        new = {key: i for i, key in enumerate(keys) if key not in table}
-        new_keys, at = list(new), list(new.values())
-        for k in range(0, len(at), 16):
-            ex, pf = _gaussian_1d(q, xy + b1[at[k:k + 16], None], y_lo, y_hi)
-            table.update(zip(new_keys[k:k + 16], zip(ex, pf)))
-        ex, pf = (np.array([table[key][i] for key in keys]) for i in (0, 1))
-        return pf * np.exp(xx + b0[:, None] * x + const[:, None] + ex)
-
-    def _slab_forms(self, s, ts):
-        """(b_0, b_1, const) of the pairs (s, t), t in ts, of a 2D cell, as
-        arrays over ts: the sums of the class docstring, added up
-        elementwise from the primed labels' pieces."""
-        _, _, jl, om = self.restricted
-        if om is None:
-            return tuple(np.array([v]) for v in (*self.pieces[s][0], self.pieces[s][1]))
-        a, _, om_s, alpha, _, u, _ = self.pieces[s]
-        rows = [self.pieces[t] for t in ts]
-        b, om_t, beta, lt = (np.array([p[i] for p in rows]) for i in (1, 2, 4, 6))
-        b0, b1 = (a[k] + b[:, k] + jl[k] + _IPI * (om_s[k] - om_t[:, k]) for k in (0, 1))
-        const = alpha + beta
-        for x, y in zip(u, lt.T):
-            const = const + x * y
-        return b0, b1, const
+        width = len(self.window) if self.pairs[0] is None and self.forms[5] is not None else 1
+        first = at - at % width
+        if self.row is None or self.row[0] != (order, first):
+            x, y_lo, y_hi, _, xx, xy, q = self.rule(order)
+            _, const, bv, factors = self.pairs
+            if order not in factors:
+                distinct, inverse = _distinct(bv[1][None])
+                ex, pf = np.empty((2, distinct.size, x.size), complex)
+                for k in range(0, distinct.size, 16):
+                    b1 = bv[1, distinct[k:k + 16], None]
+                    ex[k:k + 16], pf[k:k + 16] = _gaussian_1d(q, xy + b1, y_lo, y_hi)
+                factors[order] = ex, pf, inverse
+            ex, pf, inverse = factors[order]
+            row, y = slice(first, first + width), inverse[first:first + width]
+            self.row = (order, first), pf[y] * np.exp(xx + bv[0, row, None] * x + const[row, None] + ex[y])
+        return self.row[1][at - first]
 
 
 # A window's box values are computed in blocks of consecutive kernel terms,
@@ -619,9 +598,10 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     lbar(s) = lbar(t), POINT only when the point falls in the cell.  The call
     reads its element of its term's table (_TermWork.box_value): inside
     window_coefficients computed or an exact image (_BoxTables), on its own
-    computed for its term over its two labels with no map, so it stays the
-    per-pair oracle.  A value that is not finite raises OverflowError; one
-    whose exponent lies below -745 reads as 0, and a zero part as +0.0.
+    computed for its term over its two labels with no map (in mpmath over
+    its own pair), so it stays the per-pair oracle.  A value that is not
+    finite raises OverflowError; one whose exponent lies below -745 reads as
+    0, and a zero part as +0.0.
     """
     scalar = complex if ctx is None else ctx.mpc
     if kernel.kind == POINT:
@@ -671,9 +651,9 @@ def numeric_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: Primitive
     swallowed).  POINT kernels integrate exactly by cell membership.  The
     integrand at the rule's nodes comes from _TermWork.slab_row: inside
     window_coefficients from the row of pairs that the term's shared work
-    built for label s, with y factors from its table; on its own the call
-    builds the form, rules and y factor of just its pair, with the same
-    bits, so it stays the per-pair oracle.  Either way the call does its own
+    built for label s, with y factors over the window's distinct b_1; on its
+    own the call builds the form, rules and y factor of just its pair, with
+    the same bits, so it stays the per-pair oracle.  Either way the call does its own
     sum over the nodes.
     """
     if kernel.kind == POINT:
@@ -805,10 +785,6 @@ class LogicalSuperop:
         d = self.d_total
         return (self.matrix() @ np.asarray(rho).reshape(-1, order="F")).reshape(d, d, order="F")
 
-    def hermitivity_defect(self):
-        """max |chi - chi^dag|; zero when the channel maps Hermitian operators to Hermitian ones."""
-        return np.max(np.abs(self.chi - self.chi.conj().T))
-
     def conjugate_input(self, op: np.ndarray) -> "LogicalSuperop":
         """The composition rho -> self(op rho op^dag).
 
@@ -886,13 +862,16 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
 
     Every (pair, term) makes one box_cell_integral or numeric_cell_integral
     call, with the same bits as a call on its own.  Each term's _TermWork is
-    held in _TERM_WORK for that term only.  In double precision on a box
-    cell the terms of each kind share one _BoxTables, which checks them all
-    on the first pair read and computes its orbit representatives block by
-    block as their terms are read; a term's table is dropped when it is
-    done.  Each pair sums its terms in order, in arrays over the pairs in
-    CPython's complex arithmetic spelt in real operations (lists in
-    mpmath); quad_err adds up in pair order.
+    held in _TERM_WORK for that term only, with the window's label vectors.
+    In double precision on a box cell the terms of each kind share one
+    _BoxTables, which checks them all on the first pair read and computes
+    its orbit representatives block by block as their terms are read.  The
+    mpmath box values and the slab rows read const and b_v from the term's
+    set of pairs, every pair of the window at once (_TermWork.pair).  A
+    term's table and set of pairs are dropped when it is done.  Each pair
+    sums its terms in order, in arrays over the pairs in CPython's complex
+    arithmetic spelt in real operations (lists in mpmath); quad_err adds up
+    in pair order.
     """
     return _coefficients(code, cell, cf, trunc, dps, quad_order)[:2]
 
@@ -914,7 +893,7 @@ def _coefficients(code, cell, cf, trunc, dps, quad_order):
         on_diagonal = [fold[s] == fold[t] != 0 for s, t in pairs]
     diagonal = [i for i, (s, t) in enumerate(pairs) if s == t]  # where a DIAG_DELTA term lives
     labels = dict(zip(window, itertools.count()))
-    lab = _label_vectors(code, window) if use_box else None
+    lab = _label_vectors(code, window)
     works, kinds = [], {}
     for _, kern in cf.terms:
         work = _TermWork(kern, code, cell)
@@ -933,12 +912,9 @@ def _coefficients(code, cell, cf, trunc, dps, quad_order):
     token = _TERM_WORK.set(None)
     try:
         for (w, kern), work in zip(cf.terms, works):
-            if kern.kind != POINT and not use_box:
-                work.prime(window)
             _TERM_WORK.set(work)
             if use_box:
                 vals = [box_cell_integral(kern, code, cell, s, t, ctx) for s, t in pairs]
-                work.box = None
                 images += work.images
             else:
                 vals, errs = zip(*[numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
@@ -946,6 +922,7 @@ def _coefficients(code, cell, cf, trunc, dps, quad_order):
                 for on, err in zip(on_diagonal, errs):
                     if on:
                         quad_err += abs(w) * err
+            work.box = work.pairs = work.row = None  # no later term reads them
             if kern.kind == FULL:
                 underflowed += vals.count(0)
             elif kern.kind == DIAG_DELTA:

@@ -125,10 +125,19 @@ def _envelope_coeff_closed(s, t, delta):
     return kappa2 * pref * f1 * f2
 
 
+def _pair_form(kernel, code, s, t):
+    """(b_v, const) of c_{s,t}(v, v) from logical._pair_forms over the pair
+    (s, t) alone, or None off the diagonal of a DIAG_DELTA kernel."""
+    if kernel.kind == DIAG_DELTA and s != t:
+        return None
+    const, bv = logical._pair_forms(logical._restricted([kernel]), logical._label_vectors(code, [s, t]),
+                                    np.zeros(1, int), np.zeros(1, int), np.ones(1, int))
+    return bv[:, 0], const[0]
+
+
 def _coeff_quadrature(kernel, s, t):
-    work = logical._TermWork(kernel, SQ, CELL)
-    qv = work.restricted[0]
-    bv, const = work.form(s, t)
+    qv = logical._restricted([kernel])[2][0]
+    bv, const = _pair_form(kernel, SQ, s, t)
     a = 2 ** -1.5
 
     def f(x, y):
@@ -329,14 +338,13 @@ def test_slab_coefficients_match_the_fan_rule():
     # values near 1 (the (1, 1), (1, 1) coefficient), erf differences in
     # place of erfc differences were 2e-11 relative off
     kernel = envelope_charfun(10 ** (-12 / 20)).terms[0][1]
-    work = logical._TermWork(kernel, HEX, HEX_CELL)
     pts, wts = _fan_rule(HEX_CELL, 80)
-    quad = np.einsum("ki,ij,kj->k", pts, work.restricted[0], pts)
+    quad = np.einsum("ki,ij,kj->k", pts, logical._restricted([kernel])[2][0], pts)
     window = TruncationSpec(1).window(2)
     for s in window:
         for t in window:
             got, _ = numeric_cell_integral(kernel, HEX, HEX_CELL, s, t)
-            bv, const = work.form(s, t)
+            bv, const = _pair_form(kernel, HEX, s, t)
             expect = kernel.amp * np.exp(quad + pts @ bv + const) @ wts
             assert abs(got - expect) <= 1e-12 * abs(expect)
 
@@ -385,7 +393,7 @@ def test_window_computes_each_distinct_1d_factor_once(monkeypatch):
     work = logical._TermWork(cf.terms[0][1], SQ, CELL)
     window = TruncationSpec(2).window(2)
     requests = [(complex(-work.box_diag[k]), complex(b), *CELL.intervals[k])
-                for s in window for t in window for k, b in enumerate(work.form(s, t)[0])]
+                for s in window for t in window for k, b in enumerate(_pair_form(cf.terms[0][1], SQ, s, t)[0])]
     assert len(requests) == 2 * 25 ** 2
     assert len(calls) == len(set(calls)) and set(calls) == set(requests)
     assert len(calls) < len(requests) / 5
@@ -438,15 +446,13 @@ def test_box_value_that_overflows_raises_alone_and_in_the_window():
 
 def test_mpmath_box_values_read_const_from_the_shared_table(monkeypatch):
     # both precisions take const and b_v from _pair_forms over the same label
-    # pieces: a lone pair's mpmath table holds the bits that its float table
-    # was computed from
+    # pieces: the mpmath element of a lone pair, in the term's set of pairs,
+    # has the bits that its float table was computed from
     kernel = compose(loss_charfun(0.01), envelope_charfun(10 ** (-26 / 20))).terms[0][1]
-    window = TruncationSpec(1).window(2)
     s, t = (1, -1), (0, 1)
     ctx = mp.MPContext()
     ctx.dps = 30
     work = logical._TermWork(kernel, SQ, CELL)
-    work.prime(window)
     forms, pair_forms = [], logical._pair_forms
 
     def recorded(*args):
@@ -457,16 +463,19 @@ def test_mpmath_box_values_read_const_from_the_shared_table(monkeypatch):
         patch.setattr(logical, "_pair_forms", recorded)
         value = work.box_value(s, t, None)
         exact = work.box_value(s, t, ctx)
-    _, index, const, bv, _ = work.box
-    assert len(forms) == 2 and len(index) == 2
-    assert const.tobytes() == forms[0][0].tobytes() and bv.tobytes() == forms[0][1].tobytes()
-    at = index[s] * len(index) + index[t]
+    lone, const, bv, _ = work.pairs
+    index = work.box[0]
+    assert len(forms) == 2 and len(index) == 2 and lone == (s, t) and const.shape == (1,)
+    at = index[s] * len(index) + index[t]  # the float table's element
+    assert const.tobytes() == forms[0][0][at:at + 1].tobytes()
+    assert bv.tobytes() == forms[0][1][:, at:at + 1].tobytes()
     expect = _form_oracle(kernel, SQ, s, t)[1]
-    assert abs(const[at] - expect) <= 1e-12 * abs(expect)
+    assert abs(const[0] - expect) <= 1e-12 * abs(expect)
     assert abs(complex(exact) - value) <= 1e-14 * abs(value)
-    work.box[2][at] += 1
+    const[0] += 1
     assert abs(work.box_value(s, t, ctx) / exact - ctx.e) < ctx.mpf(10) ** -25
-    assert not hasattr(logical._TermWork, "_const") and not hasattr(logical._TermWork, "box_form")
+    assert not any(hasattr(work, name) for name in ("_const", "box_form", "prime", "pieces", "form", "restricted",
+                                                    "_slab_forms"))
 
 
 def _recorded_box_window(monkeypatch, cf, s_max):
@@ -571,10 +580,10 @@ def test_float_window_computes_each_distinct_1d_factor_once(monkeypatch, cf):
     reps = set(_orbit_oracle(_maps_of(cf), window).values()) if full else None
     requests, every, per_term = [], set(), [0] * len(cf.terms)
     for i, (_, kernel) in enumerate(cf.terms):
-        work = logical._TermWork(kernel, SQ, CELL)
         for a, s in enumerate(window):
             for b, t in enumerate(window if full else [s]):
-                factors = [(i, k, np.complex128(b_k).tobytes()) for k, b_k in enumerate(work.form(s, t)[0])]
+                b_v = _pair_form(kernel, SQ, s, t)[0]
+                factors = [(i, k, np.complex128(b_k).tobytes()) for k, b_k in enumerate(b_v)]
                 every.update(factors)
                 if reps is None or i * n * n + a * n + b in reps:
                     per_term[i] += 1
@@ -816,10 +825,8 @@ def test_pair_exponent_from_label_pieces_matches_per_pair_formula(family, delta_
                                                                   hexagonal, s, t):
     t = s if t is None else t  # the diagonal, where a DIAG_DELTA kernel lives
     kernel = _kernel(family, delta_db, param, term)
-    code, cell = (HEX, HEX_CELL) if hexagonal else (SQ, CELL)
-    work = logical._TermWork(kernel, code, cell)
-    work.prime(TruncationSpec(2).window(2))
-    got, expect = work.form(s, t), _form_oracle(kernel, code, s, t)
+    code = HEX if hexagonal else SQ
+    got, expect = _pair_form(kernel, code, s, t), _form_oracle(kernel, code, s, t)
     if expect is None:
         assert got is None
         return
@@ -829,15 +836,24 @@ def test_pair_exponent_from_label_pieces_matches_per_pair_formula(family, delta_
 
 
 @pytest.mark.parametrize("family", ["dephasing", "displacement alone"])
-def test_label_primed_alone_has_the_bits_of_a_window(family):
+def test_lone_pair_forms_have_the_bits_of_a_window(family):
+    # the const and b_v of a lone pair, of the window's set of pairs (which
+    # window_coefficients gives every cell type) and of _pair_forms over the
+    # pair alone are the same to the last bit
     kernel = _kernel(family, 18.0, 0.01, 5)
     window = TruncationSpec(2).window(2)
     together = logical._TermWork(kernel, HEX, HEX_CELL)
-    together.prime(window)
+    together.window, together.lab = {s: i for i, s in enumerate(window)}, logical._label_vectors(HEX, window)
     for s in window:
-        alone = logical._TermWork(kernel, HEX, HEX_CELL)
-        alone.prime([s])
-        assert repr(alone.pieces[s]) == repr(together.pieces[s])
+        for t in window:
+            alone = logical._TermWork(kernel, HEX, HEX_CELL)
+            at, form = together.pair(s, t), _pair_form(kernel, HEX, s, t)
+            assert alone.pair(s, t) == (None if at is None else 0) and (form is None) == (at is None)
+            if at is not None:
+                assert together.pairs[0] is None and alone.pairs[0] == (s, t)
+                expect = [form[0].tobytes(), form[1].tobytes()]
+                assert [together.pairs[2][:, at].tobytes(), together.pairs[1][at].tobytes()] == expect
+                assert [alone.pairs[2][:, 0].tobytes(), alone.pairs[1][0].tobytes()] == expect
 
 
 def _two_terms():
@@ -966,9 +982,8 @@ def test_slab_window_computes_each_distinct_y_factor_once(monkeypatch, cf):
     # b_1, by its bits (so 0.0 and -0.0 stay apart), and a lone call just its own
     kernel = cf.terms[0][1]
     window = TruncationSpec(2).window(2)
-    work = logical._TermWork(kernel, HEX, HEX_CELL)
-    nodes = work.rule(40)[0].size
-    distinct = {np.complex128(work.form(s, t)[0][1]).tobytes() for s in window for t in window}
+    nodes = logical._TermWork(kernel, HEX, HEX_CELL).rule(40)[0].size
+    distinct = {np.complex128(_pair_form(kernel, HEX, s, t)[0][1]).tobytes() for s in window for t in window}
     _, elements = _counted_y_factors(
         monkeypatch, lambda: window_coefficients(HEX, HEX_CELL, cf, TruncationSpec(2), quad_order=40))
     assert sum(elements) == len(distinct) * nodes
@@ -1106,7 +1121,7 @@ def test_coefficient_decay_is_exponential():
 def test_superop_hermitivity_and_output_hermiticity():
     ch = logical_channel(SQ, CELL, compose(loss_charfun(0.03), envelope_charfun(0.5)),
                          TruncationSpec(1))
-    assert ch.hermitivity_defect() < 1e-14
+    assert np.max(np.abs(ch.chi - ch.chi.conj().T)) < 1e-14  # Hermitian operators map to Hermitian ones
     rng = np.random.default_rng(0)
     for _ in range(5):
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
