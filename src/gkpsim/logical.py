@@ -26,10 +26,10 @@ coordinate, b_k) and one exp, and every other value is read as its image
 b_1, so each distinct b_1 of the window gets one row of factors over the
 nodes, and the integrands of every pair (s, t) with one label s are built
 as one batch.  Each (pair, term) still makes one box_cell_integral or
-numeric_cell_integral call; on its own such a call computes its term over
-its own pair, with no map, and has the same bits.
-P(s + d k) is a sign times P(s), so the window folds exactly into the
-d^{2n} x d^{2n} matrix chi (LogicalSuperop.from_pauli_pairs).
+numeric_cell_integral call (a bare table read inside a float box window);
+on its own such a call computes its term over its own pair, with no map,
+and has the same bits.  P(s + d k) is a sign times P(s), so the window's
+array of coefficients folds exactly into the d^{2n} x d^{2n} matrix chi (_chi).
 
 Channels are built in double precision.  An integral whose Gaussian
 integrand is nonzero but comes out exactly 0 has underflowed, and
@@ -255,9 +255,9 @@ def _pair_forms(forms, lab, k, i, j):
 
 class _TermWork:
     """What the cell integrals of one kernel term on one code and cell share
-    over every (s, t) pair: its restricted form and box diagonal, its box
-    table (from the window's _BoxTables when the first pair reads it, or
-    over a lone pair's labels), each slab rule with the pair-independent
+    over every (s, t) pair: its restricted form and box diagonal, the window's
+    box table and its bare read (_reader), from the window's _BoxTables when
+    the first pair reads it, each slab rule with the pair-independent
     parts of its exponent, and one set of pairs with their (const, b_v) from
     _pair_forms: every pair of the window's labels (s = t only for
     DIAG_DELTA) when the window holds both labels of the pair asked for,
@@ -280,7 +280,7 @@ class _TermWork:
     def __init__(self, kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell):
         self.kernel, self.code, self.cell = kernel, code, cell
         self.window, self.lab, self.tables = {}, None, None  # label -> position, lbar as rows, (_BoxTables, term)
-        self.box = None  # (label -> position, values, all finite) of the float box table
+        self.box = self.read = None  # the window's float box table as a list, and its bare read once all finite
         self.images = 0  # elements of the box table read as images of others
         self.pairs = None  # (lone pair or None for the window's, const, b_v, order -> y factors)
         self.memo = {}  # (ctx, q, b, lo, hi) -> an mpmath 1D factor
@@ -313,12 +313,13 @@ class _TermWork:
         return self.window[s] * len(self.window) + self.window[t] if full else self.window[s]
 
     def box_value(self, s, t, ctx):
-        """The integral of c_{s,t}(v, v) over the box, or None where it
-        vanishes: in double precision (ctx None) an element of the term's
-        table (from the window's _BoxTables, or from one over a lone pair's
-        labels), which raises OverflowError where it is not finite; in the
-        mpmath context ctx from its const and b_v (pair) and one 1D factor
-        per coordinate, each distinct one computed once."""
+        """The integral of c_{s,t}(v, v) over the box, or None where it vanishes:
+        in double precision (ctx None) an element of the term's table from the
+        window's _BoxTables when the window holds both labels (setting read once
+        the table is all finite), else that element alone over its two labels,
+        raising OverflowError where it is not finite; in the mpmath context ctx
+        from its const and b_v (pair) and one 1D factor per coordinate, each
+        distinct one computed once."""
         s, t = tuple(s), tuple(t)
         if ctx is not None:
             at = self.pair(s, t)
@@ -332,25 +333,20 @@ class _TermWork:
                     self.memo[key] = _gaussian_1d_mp(*key)
                 exponent, pref = exponent + self.memo[key][0], pref * self.memo[key][1]
             return pref * ctx.exp(exponent)
-        box = self.box
-        index = box[0] if box is not None else {}
-        i, j = index.get(s), index.get(t)
         full = self.kernel.kind == FULL
-        if i is None or j is None:
-            window = s in self.window and t in self.window
-            index = self.window if window else dict(zip(dict.fromkeys((s, t)), itertools.count()))
-            tables, k = self.tables if window and self.tables else (_BoxTables([self], index, None, None), 0)
-            table, finite, self.images = tables.table(k)
-            box = self.box = index, table, finite
-            i, j = index[s], index[t]
-        if full:
-            at = i * len(index) + j
-        elif s == t:
-            at = i
-        else:
+        if not (full or s == t):
             return None
-        value = box[1][at]
-        if not (box[2] or cmath.isfinite(value)):
+        if self.tables is None or s not in self.window or t not in self.window:
+            k = np.zeros(1, np.intp)
+            value = _box_values(-np.array([self.box_diag]), np.array([complex(self.kernel.amp)]), self.cell.intervals,
+                                k, *_pair_forms(self.forms, _label_vectors(self.code, (s, t)), k, [0], [1])).item()
+        else:
+            if self.box is None:
+                self.box, finite, self.images = self.tables[0].table(self.tables[1])
+                self.read = _reader(self.window, self.box, full) if finite else None
+            i = self.window[s]
+            value = self.box[i * len(self.window) + self.window[t] if full else i]
+        if not cmath.isfinite(value):
             raise OverflowError(f"box integral of pair {s}, {t} overflows double precision")
         return value
 
@@ -528,10 +524,9 @@ def _orbits(s_max: int, two_n: int, flips, taus, swaps):
 
 class _BoxTables:
     """The double-precision box tables of kernel terms of one kind (works)
-    over the pairs of the labels of index (lbar the rows of lab, or None).
-    A window's FULL terms (s_max given) compute one element (term, s, t) per
-    orbit (_orbits) and read the rest as exact images; any other element (of
-    DIAG_DELTA terms, or a lone pair's) is computed.  Only the computed
+    over the pairs of the window's labels (index; lbar the rows of lab).
+    FULL terms compute one element (term, s, t) per orbit (_orbits) and read
+    the rest as exact images; DIAG_DELTA terms compute each.  Only the computed
     values are kept, in blocks of consecutive terms of up to BOX_BLOCK (or
     one term) made when the block's first term is read."""
 
@@ -544,9 +539,8 @@ class _BoxTables:
             kernels, code, cell = [w.kernel for w in self.works], self.works[0].code, self.works[0].cell
             self.forms = forms = _restricted(kernels)
             self.q, self.amp = -_box_diag(forms[2]), np.array([complex(k.amp) for k in kernels])
-            self.lab = _label_vectors(code, self.index) if self.lab is None else self.lab
             self.size = len(self.index) ** (1 if forms[5] is None else 2)  # elements per term
-            if forms[5] is None or self.s_max is None:
+            if forms[5] is None:
                 self.reps, at = np.arange(len(kernels) * self.size), np.arange(self.size)
                 self.terms = [(i * self.size, at, None) for i in range(len(kernels))]
             else:
@@ -588,6 +582,19 @@ def _term_work(kernel: GaussianKernel, code: GkpCode, cell: PrimitiveCell) -> _T
     return _TermWork(kernel, code, cell)
 
 
+def _reader(index, values, full: bool):
+    """read(s, t): (s, t)'s element of the window's box table values, or None for a label outside index."""
+    n = len(index)
+
+    def read(s, t):
+        try:
+            i, j = index[s], index[t]
+        except (KeyError, TypeError):  # a label outside the window, or not a tuple
+            return None
+        return values[i * n + j] if full else values[i] if i == j else 0j
+    return read
+
+
 def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t, ctx=None):
     """Exact integral of c_{s,t}(v, v) over a box cell, in double precision
     (ctx None) or in the mpmath context ctx.
@@ -595,14 +602,21 @@ def box_cell_integral(kernel: GaussianKernel, code: GkpCode, cell: BoxCell, s, t
     Requires the diagonal-restricted quadratic form to be axis-diagonal (true
     for every isotropic single-mode kernel family here).  Delta-constrained
     kernels follow their density conventions: DIAG_DELTA contributes only for
-    lbar(s) = lbar(t), POINT only when the point falls in the cell.  The call
-    reads its element of its term's table (_TermWork.box_value): inside
-    window_coefficients computed or an exact image (_BoxTables), on its own
-    computed for its term over its two labels with no map (in mpmath over
-    its own pair), so it stays the per-pair oracle.  A value that is not
-    finite raises OverflowError; one whose exponent lies below -745 reads as
-    0, and a zero part as +0.0.
+    lbar(s) = lbar(t), POINT only when the point falls in the cell.  Inside
+    window_coefficients a float call on its term (by identity) reads its
+    element of the term's table (_TermWork.box_value), computed or an exact
+    image (_BoxTables), bare (_reader) once the table is all finite; on its
+    own or outside the window it computes its element alone with no map (in
+    mpmath over its own pair), so it stays the per-pair oracle.  A value that
+    is not finite raises OverflowError; one whose exponent lies below -745
+    reads as 0, and a zero part as +0.0.
     """
+    work = _TERM_WORK.get(None)
+    if (ctx is None and work is not None and work.read is not None and work.kernel is kernel
+            and work.code is code and work.cell is cell):
+        value = work.read(s, t)
+        if value is not None:
+            return value
     scalar = complex if ctx is None else ctx.mpc
     if kernel.kind == POINT:
         return scalar(_point_value(kernel, code, cell, s, t))
@@ -698,11 +712,14 @@ def pauli_matrix(dims, s) -> np.ndarray:
     return out
 
 
-def _pauli_basis(dims) -> np.ndarray:
-    """P(a) for every representative a in Z_{d_1} x ... x Z_{d_n} (x part, then
-    z part), stacked along axis 0 in chi index order; the identity comes first."""
+@functools.lru_cache(maxsize=8)
+def _pauli_basis(dims: tuple) -> np.ndarray:
+    """P(a) for every representative a in Z_{d_1} x ... x Z_{d_n} (x part, then z part),
+    stacked along axis 0 in chi index order, the identity first; read-only, built once per dims."""
     ranges = [range(d) for d in dims] * 2
-    return np.stack([pauli_matrix(dims, a) for a in itertools.product(*ranges)])
+    basis = np.stack([pauli_matrix(dims, a) for a in itertools.product(*ranges)])
+    basis.flags.writeable = False
+    return basis
 
 
 def _pauli_components(dims, ops) -> np.ndarray:
@@ -725,6 +742,24 @@ def _fold(dims, s):
     return int(np.ravel_multi_index(a, mods)), 1 - 2 * odd
 
 
+def _chi(dims, labels, rs, rt, values) -> np.ndarray:
+    """chi of the values[p] of the pairs (labels[rs[p]], labels[rt[p]]), each label folded
+    once (_fold) and added up by np.add.at in p order; object values give an object chi."""
+    dtype = object if values.dtype == object else complex
+    if dtype is object and max(dims) > 2:
+        raise ValueError("mpmath channels need qubit modes, whose Pauli phases are exact")
+    chi = np.full((int(np.prod(dims)) ** 2,) * 2, 0 * values[0], dtype=dtype)
+    index, sign = np.array([_fold(dims, s) for s in labels]).T
+    sign = sign[rs] * sign[rt]
+    if dtype is object:
+        signed = sign.astype(object) * values
+    else:  # sign * c as CPython multiplies an int and a complex, one rounding per real operation
+        c = values.astype(complex)
+        signed = _complex(sign * c.real - 0.0 * c.imag, sign * c.imag + 0.0 * c.real)
+    np.add.at(chi, (index[rs], index[rt]), signed)
+    return chi
+
+
 @dataclass
 class LogicalSuperop:
     """Qudit channel N(rho) = sum_{a,b} chi[a, b] P(a) rho P(b)^dag (the chi matrix
@@ -745,30 +780,12 @@ class LogicalSuperop:
 
     @classmethod
     def from_pauli_pairs(cls, dims, coeffs: dict) -> "LogicalSuperop":
-        """Fold {(s, t): c_{s,t}} over integer Pauli labels into chi; an mpmath
-        coefficient makes chi an object array at that coefficient's precision."""
-        dims = tuple(dims)
-        m = int(np.prod(dims)) ** 2
-        firsts, seconds = zip(*coeffs)
-        labels = sorted(set(firsts).union(seconds))
-        rank = dict(zip(labels, itertools.count()))
-        rs, rt = (np.fromiter(map(rank.__getitem__, x), int, len(x)) for x in (firsts, seconds))
-        order = np.lexsort((rt, rs))  # sorted pair order
-        rs, rt = rs[order], rt[order]
-        values = np.asarray(list(coeffs.values()))[order]
-        dtype = object if values.dtype == object else complex
-        if dtype is object and max(dims) > 2:
-            raise ValueError("mpmath channels need qubit modes, whose Pauli phases are exact")
-        chi = np.full((m, m), 0 * next(iter(coeffs.values())), dtype=dtype)
-        index, sign = np.array([_fold(dims, s) for s in labels]).T
-        sign = sign[rs] * sign[rt]
-        if dtype is object:
-            signed = sign.astype(object) * values
-        else:  # sign * c as CPython multiplies an int and a complex, one rounding per real operation
-            c = values.astype(complex)
-            signed = _complex(sign * c.real - 0.0 * c.imag, sign * c.imag + 0.0 * c.real)
-        np.add.at(chi, (index[rs], index[rt]), signed)
-        return cls(dims, chi)
+        """Fold {(s, t): c_{s,t}} over integer Pauli labels into chi, in sorted
+        pair order (_chi); an mpmath coefficient makes chi an object array."""
+        items = sorted(coeffs.items())  # by the pairs, which are distinct
+        rank = {s: i for i, s in enumerate(sorted({s for pair in coeffs for s in pair}))}
+        rs, rt = np.array([(rank[s], rank[t]) for (s, t), _ in items]).T
+        return cls(tuple(dims), _chi(dims, list(rank), rs, rt, np.asarray([c for _, c in items])))
 
     @property
     def d_total(self) -> int:
@@ -861,25 +878,29 @@ def window_coefficients(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     DIAG_DELTA kernel on s = t.
 
     Every (pair, term) makes one box_cell_integral or numeric_cell_integral
-    call, with the same bits as a call on its own.  Each term's _TermWork is
-    held in _TERM_WORK for that term only, with the window's label vectors.
-    In double precision on a box cell the terms of each kind share one
-    _BoxTables, which checks them all on the first pair read and computes
-    its orbit representatives block by block as their terms are read.  The
-    mpmath box values and the slab rows read const and b_v from the term's
-    set of pairs, every pair of the window at once (_TermWork.pair).  A
-    term's table and set of pairs are dropped when it is done.  Each pair
+    call, with the same bits as a call on its own, mapped over the window's
+    label lists.  Each term's _TermWork is held in _TERM_WORK for that term
+    only, with the window's label vectors.  In double precision on a box cell
+    the terms of each kind share one _BoxTables, which checks them all on the
+    first pair read and computes its orbit representatives block by block as
+    their terms are read; a term's later calls read its table bare (_reader).
+    The mpmath box values and the slab rows read const and b_v from the
+    term's set of pairs, every pair of the window at once (_TermWork.pair).
+    A term's table and set of pairs are dropped when it is done.  Each pair
     sums its terms in order, in arrays over the pairs in CPython's complex
     arithmetic spelt in real operations (lists in mpmath); quad_err adds up
     in pair order.
     """
-    return _coefficients(code, cell, cf, trunc, dps, quad_order)[:2]
+    window, values, trust, _ = _coefficients(code, cell, cf, trunc, dps, quad_order)
+    return dict(zip(itertools.product(window, window), values.tolist())), trust
 
 
 def _coefficients(code, cell, cf, trunc, dps, quad_order):
-    """window_coefficients, and how many (pair, term) values were computed
-    ("integrals") and read as images of others ("images")."""
+    """(window, values, trust, counts): window_coefficients' sums as one array in
+    itertools.product(window, window) order, which is sorted pair order, and how many
+    (pair, term) values were computed ("integrals") and read as images of others ("images")."""
     window = trunc.window(2 * code.n_modes)
+    n = len(window)
     use_box = isinstance(cell, BoxCell)
     ctx = None
     if dps is not None:
@@ -887,11 +908,10 @@ def _coefficients(code, cell, cf, trunc, dps, quad_order):
             raise ValueError("mpmath precision integrates box cells only")
         ctx = mp.MPContext()
         ctx.dps = dps
-    pairs = list(itertools.product(window, window))
+    firsts, seconds = list(itertools.chain.from_iterable(itertools.repeat(s, n) for s in window)), window * n
     if not use_box:  # where a quadrature error counts
-        fold = {s: _fold(code.dims, s)[0] for s in window}
-        on_diagonal = [fold[s] == fold[t] != 0 for s, t in pairs]
-    diagonal = [i for i, (s, t) in enumerate(pairs) if s == t]  # where a DIAG_DELTA term lives
+        fold = np.array([_fold(code.dims, s)[0] for s in window])
+        on_diagonal = ((fold[:, None] == fold) & (fold != 0)).ravel().tolist()
     labels = dict(zip(window, itertools.count()))
     lab = _label_vectors(code, window)
     works, kinds = [], {}
@@ -905,8 +925,8 @@ def _coefficients(code, cell, cf, trunc, dps, quad_order):
         tables = _BoxTables(group, labels, lab, trunc.s_max)
         for k, work in enumerate(group):
             work.tables = tables, k
-    re = im = np.zeros(len(pairs))
-    acc = [ctx.mpc(0.0)] * len(pairs) if ctx is not None else None
+    re = im = np.zeros(n * n)
+    acc = [ctx.mpc(0.0)] * (n * n) if ctx is not None else None
     underflowed = images = 0
     quad_err = 0.0
     token = _TERM_WORK.set(None)
@@ -914,19 +934,19 @@ def _coefficients(code, cell, cf, trunc, dps, quad_order):
         for (w, kern), work in zip(cf.terms, works):
             _TERM_WORK.set(work)
             if use_box:
-                vals = [box_cell_integral(kern, code, cell, s, t, ctx) for s, t in pairs]
+                vals = list(map(functools.partial(box_cell_integral, kern, code, cell),
+                                firsts, seconds, itertools.repeat(ctx)))
                 images += work.images
             else:
-                vals, errs = zip(*[numeric_cell_integral(kern, code, cell, s, t, order=quad_order)
-                                   for s, t in pairs])
-                for on, err in zip(on_diagonal, errs):
-                    if on:
-                        quad_err += abs(w) * err
-            work.box = work.pairs = work.row = None  # no later term reads them
+                vals, errs = zip(*map(functools.partial(numeric_cell_integral, kern, code, cell, order=quad_order),
+                                      firsts, seconds))
+                for err in itertools.compress(errs, on_diagonal):
+                    quad_err += abs(w) * err
+            work.box = work.read = work.pairs = work.row = None  # no later term reads them
             if kern.kind == FULL:
                 underflowed += vals.count(0)
-            elif kern.kind == DIAG_DELTA:
-                underflowed += [vals[i] for i in diagonal].count(0)
+            elif kern.kind == DIAG_DELTA:  # the pairs s = t
+                underflowed += vals[::n + 1].count(0)
             if ctx is None:  # acc + w v as CPython adds it up, one rounding per real operation
                 v, w = np.array(vals, complex), complex(w)
                 re, im = re + (w.real * v.real - w.imag * v.imag), im + (w.real * v.imag + w.imag * v.real)
@@ -937,9 +957,9 @@ def _coefficients(code, cell, cf, trunc, dps, quad_order):
         _TERM_WORK.reset(token)
         for work in works:  # leave no work in a reference cycle with its tables
             work.tables = None
-    acc = acc if ctx is not None else _complex(re, im).tolist()
-    return (dict(zip(pairs, acc)), {"underflowed": underflowed, "quad_err": quad_err},
-            {"integrals": len(pairs) * len(works) - images, "images": images})
+    values = _complex(re, im) if ctx is None else np.array(acc, dtype=object)
+    return (window, values, {"underflowed": underflowed, "quad_err": quad_err},
+            {"integrals": n * n * len(works) - images, "images": images})
 
 
 def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
@@ -954,8 +974,8 @@ def logical_channel(code: GkpCode, cell: PrimitiveCell, cf: ChannelCharFn,
     many (pair, term) values of the window were computed ("integrals") and
     read as exact images of others ("images"; 0 off float box cells)."""
     _decay_precheck(cf, code, trunc.s_max)
-    coeffs, trust, counts = _coefficients(code, cell, cf, trunc, dps, quad_order)
-    ch = LogicalSuperop.from_pauli_pairs(code.dims, coeffs)
+    window, values, trust, counts = _coefficients(code, cell, cf, trunc, dps, quad_order)
+    ch = LogicalSuperop(code.dims, _chi(code.dims, window, *np.divmod(np.arange(values.size), len(window)), values))
     ch.meta = {"s_max": trunc.s_max, "dps": dps, **trust,
                "quad_order": None if isinstance(cell, BoxCell) else quad_order, **counts}
     return ch

@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 
@@ -447,16 +448,18 @@ def test_box_value_that_overflows_raises_alone_and_in_the_window():
 def test_mpmath_box_values_read_const_from_the_shared_table(monkeypatch):
     # both precisions take const and b_v from _pair_forms over the same label
     # pieces: the mpmath element of a lone pair, in the term's set of pairs,
-    # has the bits that its float table was computed from
+    # has the bits that its float value was computed from, and the lone
+    # float call computes its own element alone, over its two labels
     kernel = compose(loss_charfun(0.01), envelope_charfun(10 ** (-26 / 20))).terms[0][1]
     s, t = (1, -1), (0, 1)
     ctx = mp.MPContext()
     ctx.dps = 30
     work = logical._TermWork(kernel, SQ, CELL)
-    forms, pair_forms = [], logical._pair_forms
+    forms, labels, pair_forms = [], [], logical._pair_forms
 
-    def recorded(*args):
-        forms.append(pair_forms(*args))
+    def recorded(forms_, lab, k, i, j):
+        labels.append(lab)
+        forms.append(pair_forms(forms_, lab, k, i, j))
         return forms[-1]
 
     with monkeypatch.context() as patch:
@@ -464,11 +467,11 @@ def test_mpmath_box_values_read_const_from_the_shared_table(monkeypatch):
         value = work.box_value(s, t, None)
         exact = work.box_value(s, t, ctx)
     lone, const, bv, _ = work.pairs
-    index = work.box[0]
-    assert len(forms) == 2 and len(index) == 2 and lone == (s, t) and const.shape == (1,)
-    at = index[s] * len(index) + index[t]  # the float table's element
-    assert const.tobytes() == forms[0][0][at:at + 1].tobytes()
-    assert bv.tobytes() == forms[0][1][:, at:at + 1].tobytes()
+    assert len(forms) == 2 and lone == (s, t) and const.shape == (1,)
+    assert len(labels[0]) == 2 and forms[0][0].shape == (1,)  # the float element alone, over s and t
+    assert labels[0].tobytes() == logical._label_vectors(SQ, (s, t)).tobytes()
+    assert work.box is None and work.read is None
+    assert const.tobytes() == forms[0][0].tobytes() and bv.tobytes() == forms[0][1].tobytes()
     expect = _form_oracle(kernel, SQ, s, t)[1]
     assert abs(const[0] - expect) <= 1e-12 * abs(expect)
     assert abs(complex(exact) - value) <= 1e-14 * abs(value)
@@ -499,8 +502,8 @@ def _recorded_box_window(monkeypatch, cf, s_max):
     with monkeypatch.context() as patch:
         patch.setattr(logical, "box_cell_integral", recorded)
         patch.setattr(logical, "_box_values", counted)
-        coeffs, _, counts = logical._coefficients(SQ, CELL, cf, TruncationSpec(s_max), None, 40)
-    return coeffs, calls, blocks, counts
+        window, values, _, counts = logical._coefficients(SQ, CELL, cf, TruncationSpec(s_max), None, 40)
+    return dict(zip(itertools.product(window, window), values.tolist())), calls, blocks, counts
 
 
 @pytest.mark.parametrize("cf, terms", [
@@ -589,7 +592,7 @@ def test_float_window_computes_each_distinct_1d_factor_once(monkeypatch, cf):
                     per_term[i] += 1
                     requests += factors
     window_call = lambda: logical._coefficients(SQ, CELL, cf, TruncationSpec(2), None, 40)  # noqa: E731
-    (_, _, counts), elements = _counted_y_factors(monkeypatch, window_call)
+    (*_, counts), elements = _counted_y_factors(monkeypatch, window_call)
     assert sum(elements) == len(set(requests)) < len(requests) / (1.5 if full else 2)
     assert sum(elements) < len(every) if full else sum(elements) == len(every)
     assert counts["integrals"] == (len(requests) // 2 if full else n * n * len(cf.terms))
@@ -618,7 +621,7 @@ def _window_values(cf, code, cell, s_max):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logical, "box_cell_integral", recorded)
-        _, _, counts = logical._coefficients(code, cell, cf, TruncationSpec(s_max), None, 40)
+        *_, counts = logical._coefficients(code, cell, cf, TruncationSpec(s_max), None, 40)
     return calls, counts
 
 
@@ -928,6 +931,36 @@ def test_shared_work_serves_only_its_own_kernel_and_cell(monkeypatch):
     monkeypatch.setattr(logical, "box_cell_integral", meddling)
     window_coefficients(SQ, CELL, cf, TruncationSpec(0))
     assert seen == [alone] * 2
+
+
+@pytest.mark.parametrize("cf", [_two_terms(), random_displacement_charfun(0.25)], ids=["full", "diag-delta"])
+def test_bare_window_read_leaves_other_calls_to_the_lone_path(monkeypatch, cf):
+    # between the window's calls, once their term's table is read bare: a
+    # pair outside the S = 1 window, another kernel's pair and an mpmath call
+    # each get the lone value to the last bit, and the bare read stays
+    ctx = mp.MPContext()
+    ctx.dps = 30
+    other = envelope_charfun(0.5).terms[0][1]
+    asked = [(k, s, t, None) for _, k in cf.terms for s, t in [((2, 0), (0, 0)), ((2, 0), (2, 0))]]
+    asked += [(other, (1, 0), (0, -1), None), (cf.terms[-1][1], (1, 0), (1, 0), ctx)]
+    alone = [repr(box_cell_integral(k, SQ, CELL, s, t, c)) for k, s, t, c in asked]
+    seen, reads = [], []
+    box = logical.box_cell_integral
+
+    def meddling(kernel, code, cell, s, t, ctx=None):
+        read = logical._TERM_WORK.get().read
+        if read is not None:
+            seen.append([repr(box(k, SQ, CELL, s, t, c)) for k, s, t, c in asked])
+            reads.append(logical._TERM_WORK.get().read is read)
+        return box(kernel, code, cell, s, t, ctx)
+
+    monkeypatch.setattr(logical, "box_cell_integral", meddling)
+    got, _ = window_coefficients(SQ, CELL, cf, TruncationSpec(1))
+    monkeypatch.undo()
+    assert len(seen) == len(cf.terms) * (81 - 1) and all(reads)
+    assert all(values == alone for values in seen)
+    expect = _per_pair_box_coefficients(cf, TruncationSpec(1), None)
+    assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in expect.items()]
 
 
 def _per_pair_quadrature(cf, trunc, order):
@@ -1434,6 +1467,31 @@ def test_chi_fold_of_mpmath_coefficients_matches_the_loop():
         expect[i, j] += sign_s * sign_t * c
     chi = LogicalSuperop.from_pauli_pairs(SQ.dims, dict(reversed(coeffs.items()))).chi
     assert chi.dtype == object and repr(chi.tolist()) == repr(expect.tolist())
+
+
+@pytest.mark.parametrize("code, cell, cf, s_max, dps", [
+    (SQ, CELL, dephased_envelope_charfun(0.1, 10 ** (-10 / 20), nodes=64), 2, None),
+    (SQ, CELL, envelope_charfun(10 ** (-30 / 20)), 1, 30),
+    (HEX, HEX_CELL, compose(loss_charfun(0.01), envelope_charfun(10 ** (-10 / 20))), 2, None),
+], ids=["dephasing64", "30dB-dps30", "hex-loss"])
+def test_window_chi_folds_as_from_pauli_pairs(code, cell, cf, s_max, dps):
+    # logical_channel folds chi from the window's array; from_pauli_pairs
+    # sorts the dict of the same coefficients into the same fold
+    chi = logical_channel(code, cell, cf, TruncationSpec(s_max), dps=dps).chi
+    coeffs, _ = window_coefficients(code, cell, cf, TruncationSpec(s_max), dps=dps)
+    expect = LogicalSuperop.from_pauli_pairs(code.dims, coeffs).chi
+    assert chi.dtype == expect.dtype == (complex if dps is None else object)
+    assert [repr(c) for c in chi.ravel().tolist()] == [repr(c) for c in expect.ravel().tolist()]
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,)])
+def test_pauli_basis_is_read_only_and_built_once(dims):
+    basis = logical._pauli_basis(dims)
+    ranges = [range(d) for d in dims] * 2
+    assert basis.tobytes() == np.stack([pauli_matrix(dims, a) for a in itertools.product(*ranges)]).tobytes()
+    assert not basis.flags.writeable and logical._pauli_basis(dims) is basis
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0, 0] = 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
